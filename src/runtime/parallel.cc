@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -26,10 +27,16 @@ thread_local const CancelToken *tl_cancel_token = nullptr;
 std::size_t
 defaultThreads()
 {
-    if (const char *env = std::getenv("FABNET_NUM_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<std::size_t>(v);
+    const char *env = std::getenv("FABNET_NUM_THREADS");
+    if (env && *env) {
+        if (const std::size_t n = parseNumThreads(env))
+            return n;
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true))
+            std::fprintf(stderr,
+                         "fabnet: invalid FABNET_NUM_THREADS '%s' "
+                         "(want 1..%zu); using hardware concurrency\n",
+                         env, kMaxEnvThreads);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
@@ -226,6 +233,20 @@ class ThreadPool
 };
 
 } // namespace
+
+std::size_t
+parseNumThreads(const char *s)
+{
+    std::size_t n = 0;
+    for (const char *p = s; *p; ++p) {
+        if (*p < '0' || *p > '9')
+            return 0;
+        n = n * 10 + static_cast<std::size_t>(*p - '0');
+        if (n > kMaxEnvThreads)
+            return 0; // bail before the accumulator can overflow
+    }
+    return n;
+}
 
 std::size_t
 numThreads()

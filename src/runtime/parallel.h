@@ -7,7 +7,9 @@
  * ## Thread count
  * The pool size is read once from the FABNET_NUM_THREADS environment
  * variable (falling back to std::thread::hardware_concurrency) and can
- * be changed at runtime with setNumThreads(). A value of 1 runs every
+ * be changed at runtime with setNumThreads(). Only a whole decimal in
+ * [1, kMaxEnvThreads] is honoured; anything else falls back with one
+ * stderr line naming the rejected value. A value of 1 runs every
  * parallelFor inline on the calling thread with zero synchronisation
  * overhead.
  *
@@ -52,6 +54,16 @@ namespace runtime {
 
 /** Current pool size (>= 1). */
 std::size_t numThreads();
+
+/** Largest FABNET_NUM_THREADS value honoured. */
+inline constexpr std::size_t kMaxEnvThreads = 1024;
+
+/**
+ * Parse a FABNET_NUM_THREADS value: a whole decimal (digits only, no
+ * sign or trailing text) in [1, kMaxEnvThreads]. Returns 0 for
+ * anything else, including values that would overflow.
+ */
+std::size_t parseNumThreads(const char *s);
 
 /**
  * Resize the pool. @p n == 0 re-reads FABNET_NUM_THREADS / hardware

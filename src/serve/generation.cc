@@ -12,89 +12,31 @@ namespace serve {
 
 namespace {
 
-/** serving.cc's fault mapping, restated here: injected faults are
- *  already serve::Error and pass through, real model exceptions are
- *  wrapped as ModelFault keeping their message. */
-Error
-genFaultFrom(std::exception_ptr ep)
-{
-    try {
-        std::rethrow_exception(ep);
-    } catch (const Error &e) {
-        return e;
-    } catch (const std::exception &e) {
-        return Error(ErrorCode::ModelFault, e.what());
-    } catch (...) {
-        return Error(ErrorCode::ModelFault, "unknown model exception");
-    }
-}
+/** FaultPlan row key of a live sequence (EngineCore::invokeBatch). */
+constexpr auto kAdmissionOf = [](const auto &live) {
+    return live.req.admission_index;
+};
 
 } // namespace
 
-/** Registers the in-flight invocation's cancel token and start time
- *  with the watchdog for the duration of the model call (RAII);
- *  serving.cc's scheme verbatim. */
-struct GenerationEngine::WatchdogArm
-{
-    GenerationEngine &e;
-    WatchdogArm(GenerationEngine &eng, runtime::CancelToken &tok) : e(eng)
-    {
-        std::lock_guard<std::mutex> lk(e.wd_mu_);
-        e.wd_token_ = &tok;
-        e.wd_started_ = RequestBatcher::Clock::now();
-        e.wd_fired_ = false;
-        e.wd_cv_.notify_all();
-    }
-    ~WatchdogArm()
-    {
-        std::lock_guard<std::mutex> lk(e.wd_mu_);
-        e.wd_token_ = nullptr;
-        e.wd_cv_.notify_all();
-    }
-};
-
 GenerationEngine::GenerationEngine(CausalGenerator &gen,
                                    GenerationConfig cfg)
-    : gen_(gen), cfg_(cfg)
+    : gen_(gen), cfg_(cfg),
+      core_("GenerationEngine", cfg_, gen.maxSeq(),
+            [this](Deadline cutoff, const Error &err) {
+                return evictQueuedLocked(cutoff, err);
+            })
 {
     if (cfg_.max_live == 0)
         throw std::invalid_argument(
             "GenerationEngine: max_live must be >= 1");
-    if (cfg_.max_queue_tokens != 0 &&
-        cfg_.max_queue_tokens < gen_.maxSeq())
-        throw std::invalid_argument(
-            "GenerationEngine: max_queue_tokens below max_seq would "
-            "make some valid prompts permanently inadmissible");
-    // RAII member lease: survives a throwing std::thread constructor
-    // below (the engine destructor would not run, the member's would).
-    ws_cap_lease_ =
-        detail::WorkspaceCapLease(cfg_.workspace_cap_bytes);
-    if (cfg_.watchdog_timeout.count() > 0)
-        watchdog_ = std::thread([this] { watchdogLoop(); });
     scheduler_ = std::thread([this] { schedulerLoop(); });
 }
 
 GenerationEngine::~GenerationEngine()
 {
-    // Full graceful drain first: every outstanding future resolves
-    // before the threads are torn down.
-    shutdown();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-        work_cv_.notify_all();
-        idle_cv_.notify_all();
-    }
+    core_.stop();
     scheduler_.join();
-    if (watchdog_.joinable()) {
-        {
-            std::lock_guard<std::mutex> wl(wd_mu_);
-            wd_stop_ = true;
-            wd_cv_.notify_all();
-        }
-        watchdog_.join();
-    }
-    // ws_cap_lease_ releases the workspace cap via member destruction.
 }
 
 std::future<std::vector<int>>
@@ -102,14 +44,8 @@ GenerationEngine::submit(std::vector<int> prompt,
                          std::size_t max_new_tokens, Deadline deadline,
                          TokenCallback on_token)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_ || draining_)
-        throw Error(ErrorCode::ShuttingDown,
-                    "engine is shutting down; prompt not admitted");
-    // Admission attempts are numbered in order - rejected ones
-    // included - so FaultPlan admission indices are deterministic for
-    // a fixed submission sequence.
-    const std::uint64_t admission_index = submit_seq_++;
+    std::lock_guard<std::mutex> lk(core_.mu());
+    const std::uint64_t admission_index = core_.beginAdmissionLocked();
     if (prompt.empty())
         throw Error(ErrorCode::InvalidRequest, "empty prompt");
     // >= and not >: a prompt that already fills every position has no
@@ -126,51 +62,8 @@ GenerationEngine::submit(std::vector<int> prompt,
     if (max_new_tokens == 0)
         throw Error(ErrorCode::InvalidRequest,
                     "max_new_tokens must be >= 1");
-    const FaultPlan *plan = cfg_.fault_plan;
-    if (plan && plan->requestFault(admission_index,
-                                   FaultPlan::Stage::Admission))
-        throw Error(ErrorCode::InvalidRequest,
-                    "injected admission fault (request #" +
-                        std::to_string(admission_index) + ")");
-    const auto now = RequestBatcher::Clock::now();
-    if (deadline != kNoDeadline && deadline <= now) {
-        ++stats_.expired_in_queue;
-        throw Error(ErrorCode::DeadlineExceeded,
-                    "deadline already expired at submit");
-    }
-    const auto over = [&] {
-        return (cfg_.max_queue_requests != 0 &&
-                queue_.size() >= cfg_.max_queue_requests) ||
-               (cfg_.max_queue_tokens != 0 &&
-                queued_tokens_ + prompt.size() > cfg_.max_queue_tokens);
-    };
-    if (over() && cfg_.shed_policy == ShedPolicy::DropExpiredFirst) {
-        std::deque<GenRequest> kept;
-        for (GenRequest &r : queue_) {
-            if (r.deadline != kNoDeadline && r.deadline <= now) {
-                ++stats_.shed;
-                ++stats_.failed;
-                queued_tokens_ -= r.prompt.size();
-                outstanding_.erase(r.id);
-                r.promise.set_exception(std::make_exception_ptr(Error(
-                    ErrorCode::DeadlineExceeded,
-                    "shed from the admission queue (DropExpiredFirst: "
-                    "deadline expired before prefill)")));
-            } else {
-                kept.push_back(std::move(r));
-            }
-        }
-        queue_.swap(kept);
-        idle_cv_.notify_all(); // outstanding_ shrank: waiters re-check
-    }
-    if (over()) {
-        ++stats_.rejected;
-        throw Error(ErrorCode::QueueFull,
-                    "admission queue full (" +
-                        std::to_string(queue_.size()) + " requests / " +
-                        std::to_string(queued_tokens_) +
-                        " prompt tokens queued)");
-    }
+    const std::uint64_t id = core_.admitLocked(
+        admission_index, prompt.size(), deadline, true);
     queue_.emplace_back();
     GenRequest &r = queue_.back();
     r.prompt = std::move(prompt);
@@ -178,109 +71,72 @@ GenerationEngine::submit(std::vector<int> prompt,
     r.deadline = deadline;
     r.on_token = std::move(on_token);
     r.admission_index = admission_index;
-    r.id = next_id_++;
+    r.id = id;
     std::future<std::vector<int>> fut = r.promise.get_future();
-    outstanding_.insert(r.id);
-    queued_tokens_ += r.prompt.size();
-    ++stats_.requests;
-    work_cv_.notify_all();
+    core_.workCv().notify_all();
     return fut;
+}
+
+std::size_t
+GenerationEngine::evictQueuedLocked(Deadline cutoff, const Error &err)
+{
+    std::deque<GenRequest> kept;
+    std::size_t evicted = 0;
+    for (GenRequest &r : queue_) {
+        if (r.deadline > cutoff) {
+            kept.push_back(std::move(r));
+            continue;
+        }
+        core_.dequeuedLocked(r.prompt.size());
+        r.promise.set_exception(std::make_exception_ptr(err));
+        core_.resolvedLocked(r.id);
+        ++evicted;
+    }
+    queue_.swap(kept);
+    return evicted;
 }
 
 void
 GenerationEngine::flush()
 {
-    std::unique_lock<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(core_.mu());
     // Watermark: wait for the requests submitted before this call
     // only, so concurrent submitters cannot starve a flusher. The
     // scheduler admits FIFO and continuously, so no drain handoff is
     // needed (unlike ServingEngine's bucketed flush).
-    const std::uint64_t watermark = next_id_;
-    idle_cv_.wait(lk, [&] {
-        return outstanding_.empty() ||
-               *outstanding_.begin() >= watermark || stop_;
-    });
+    core_.waitResolvedBelow(lk, core_.watermarkLocked());
 }
 
 void
 GenerationEngine::shutdown(Deadline deadline)
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    draining_ = true;
-    const auto all_resolved = [this] { return outstanding_.empty(); };
-    if (deadline == kNoDeadline) {
-        // Full drain. (Not wait_until: time_point::max() overflows
-        // some libstdc++ wait implementations.)
-        idle_cv_.wait(lk, all_resolved);
-        return;
-    }
-    if (idle_cv_.wait_until(lk, deadline, all_resolved))
-        return;
-    // Deadline passed: fail everything still queued, cooperatively
-    // cancel the in-flight prefill/step (its sequences fail with
-    // ShuttingDown via cancelCause), and let the scheduler evict the
-    // remaining live set at the next step boundary. abandon_ is set
-    // first so a Cancelled invocation - and one that arms after this
-    // point - attributes to shutdown.
-    abandon_.store(true, std::memory_order_release);
-    failQueuedLocked();
-    {
-        std::lock_guard<std::mutex> wl(wd_mu_);
-        if (wd_token_)
-            wd_token_->cancel();
-    }
-    work_cv_.notify_all();
-    idle_cv_.wait(lk, all_resolved);
+    core_.shutdown(deadline);
 }
 
 GenerationStats
 GenerationEngine::stats() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
-}
-
-Error
-GenerationEngine::cancelCause() const
-{
-    return abandon_.load(std::memory_order_acquire)
-               ? Error(ErrorCode::ShuttingDown,
-                       "invocation cancelled at the shutdown deadline")
-               : Error(ErrorCode::ModelFault,
-                       "watchdog cancelled a stuck model invocation");
-}
-
-void
-GenerationEngine::failQueuedLocked()
-{
-    stats_.failed += queue_.size();
-    for (GenRequest &r : queue_) {
-        queued_tokens_ -= r.prompt.size();
-        outstanding_.erase(r.id);
-        r.promise.set_exception(std::make_exception_ptr(Error(
-            ErrorCode::ShuttingDown,
-            "engine shut down before this prompt was prefilled")));
-    }
-    queue_.clear();
-    idle_cv_.notify_all();
+    std::lock_guard<std::mutex> lk(core_.mu());
+    GenerationStats out = stats_;
+    core_.statsLocked().copyTo(out);
+    return out;
 }
 
 void
 GenerationEngine::completeSeq(Live &seq)
 {
     // Order: stats counted first, then the future resolves, and only
-    // then does outstanding_ shrink - so a flush()/shutdown() waiter
-    // that wakes on the erase always finds the future ready, and a
+    // then is the request marked resolved - so a flush()/shutdown()
+    // waiter that wakes on it always finds the future ready, and a
     // client waking from future.get() always sees itself counted.
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.completed;
+        std::lock_guard<std::mutex> lk(core_.mu());
+        ++core_.statsLocked().completed;
     }
     seq.req.promise.set_value(std::move(seq.generated));
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        outstanding_.erase(seq.req.id);
-        idle_cv_.notify_all();
+        std::lock_guard<std::mutex> lk(core_.mu());
+        core_.resolvedLocked(seq.req.id);
     }
 }
 
@@ -290,18 +146,15 @@ GenerationEngine::failSeq(GenRequest &req, const Error &err,
 {
     // Same publication order as completeSeq.
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.failed;
+        std::lock_guard<std::mutex> lk(core_.mu());
+        core_.countFailedLocked(1, err);
         if (mid_decode)
             ++stats_.expired_mid_decode;
-        if (err.code() == ErrorCode::ModelFault)
-            ++stats_.model_faults;
     }
     req.promise.set_exception(std::make_exception_ptr(err));
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        outstanding_.erase(req.id);
-        idle_cv_.notify_all();
+        std::lock_guard<std::mutex> lk(core_.mu());
+        core_.resolvedLocked(req.id);
     }
 }
 
@@ -311,7 +164,7 @@ GenerationEngine::deliverToken(Live &seq, int tok)
     // Count BEFORE the callback/future can observe the token, matching
     // the engine-wide "stats published before results" order.
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu());
         ++stats_.decode_tokens;
     }
     seq.generated.push_back(tok);
@@ -330,6 +183,18 @@ GenerationEngine::deliverToken(Live &seq, int tok)
 }
 
 bool
+GenerationEngine::advance(Live &seq, int tok)
+{
+    if (!deliverToken(seq, tok))
+        return false;
+    seq.next_input = tok;
+    if (!seqDone(seq))
+        return true;
+    completeSeq(seq);
+    return false;
+}
+
+bool
 GenerationEngine::seqDone(const Live &seq) const
 {
     if (seq.generated.size() >= seq.req.max_new)
@@ -341,65 +206,41 @@ GenerationEngine::seqDone(const Live &seq) const
     return seq.state.len >= gen_.maxSeq();
 }
 
-Tensor
-GenerationEngine::invokeGuarded(const std::function<Tensor()> &fn,
-                                bool stall,
-                                const std::string *injected_fault)
+void
+GenerationEngine::isolateEach(std::vector<Live> &seqs,
+                              std::vector<Live> &keep,
+                              const std::function<Tensor(Live &)> &one)
 {
-    runtime::CancelToken cancel;
-    WatchdogArm arm(*this, cancel);
-    runtime::CancelScope scope(cancel);
-    // A shutdown deadline that already passed cancels this invocation
-    // before any work is done.
-    if (abandon_.load(std::memory_order_acquire))
-        cancel.cancel();
-    if (stall) {
-        // Injected stall: spin until the watchdog (or a shutdown
-        // deadline) cancels us; the safety bound turns a missing
-        // watchdog into a loud ModelFault instead of a hung test.
-        const auto start = RequestBatcher::Clock::now();
-        for (;;) {
-            if (cancel.cancelled())
-                throw runtime::Cancelled{};
-            if (RequestBatcher::Clock::now() - start >
-                std::chrono::seconds(10))
-                throw Error(ErrorCode::ModelFault,
-                            "injected stall hit its 10s safety bound "
-                            "(no watchdog cancelled it)");
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
+    {
+        std::lock_guard<std::mutex> lk(core_.mu());
+        ++core_.statsLocked().isolation_retries;
     }
-    if (injected_fault)
-        throw Error(ErrorCode::ModelFault, *injected_fault);
-    return fn();
+    for (Live &s : seqs) {
+        Tensor logits;
+        try {
+            logits = core_.invokeRetry(s.req.admission_index, nullptr,
+                                       [&] { return one(s); });
+        } catch (...) {
+            failSeq(s.req, core_.faultFrom(std::current_exception()),
+                    false);
+            continue;
+        }
+        if (advance(s, nn::argmaxRows(logits)[0]))
+            keep.push_back(std::move(s));
+    }
 }
 
 void
 GenerationEngine::prefillAdmitted(std::vector<GenRequest> reqs,
                                   std::vector<Live> &live)
 {
-    const FaultPlan *plan = cfg_.fault_plan;
     std::size_t inv = 0;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu());
         inv = invoke_seq_++;
         ++stats_.prefill_batches;
         for (const GenRequest &r : reqs)
             stats_.prefill_tokens += r.prompt.size();
-    }
-    std::string injected;
-    bool stall = false;
-    if (plan) {
-        const std::chrono::microseconds d = plan->batchDelay(inv);
-        if (d.count() > 0)
-            std::this_thread::sleep_for(d);
-        stall = plan->batchStalls(inv);
-        for (const GenRequest &r : reqs)
-            if (injected.empty() &&
-                plan->requestFault(r.admission_index,
-                                   FaultPlan::Stage::Model))
-                injected = "injected model fault (request #" +
-                           std::to_string(r.admission_index) + ")";
     }
 
     std::vector<Live> fresh;
@@ -421,93 +262,42 @@ GenerationEngine::prefillAdmitted(std::vector<GenRequest> reqs,
 
     Tensor logits;
     try {
-        logits = invokeGuarded(
-            [&] { return gen_.prefill(prompts, states); }, stall,
-            injected.empty() ? nullptr : &injected);
+        logits = core_.invokeBatch(
+            inv, fresh, kAdmissionOf, nullptr,
+            [&] { return gen_.prefill(prompts, states); });
     } catch (const runtime::Cancelled &) {
         // The invocation never finished; no sequence has a usable
         // state, and re-running a stuck batch would stick again.
-        const Error err = cancelCause();
+        const Error err = core_.cancelCause();
         for (Live &s : fresh)
             failSeq(s.req, err, false);
         return;
     } catch (...) {
-        // Per-sequence fault isolation: a faulted batched prefill may
-        // have captured some layers' caches before throwing; each
-        // retry starts from a rolled-back (empty) state.
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.isolation_retries;
-        }
-        for (Live &s : fresh) {
+        // A faulted batched prefill may have captured some layers'
+        // caches before throwing; each retry starts from a rolled-back
+        // (empty) state.
+        for (Live &s : fresh)
             gen_.rollback(s.state, 0);
-            std::string one;
-            // Model faults are sticky (serve/fault.h): the poisoned
-            // sequence fails here instead of silently succeeding.
-            if (plan && plan->requestFault(s.req.admission_index,
-                                           FaultPlan::Stage::Model))
-                one = "injected model fault (request #" +
-                      std::to_string(s.req.admission_index) + ")";
-            try {
-                const std::vector<std::vector<int>> p1{s.req.prompt};
-                const std::vector<SequenceState *> st1{&s.state};
-                const Tensor lg = invokeGuarded(
-                    [&] { return gen_.prefill(p1, st1); }, false,
-                    one.empty() ? nullptr : &one);
-                const int tok = nn::argmaxRows(lg)[0];
-                if (!deliverToken(s, tok))
-                    continue;
-                s.next_input = tok;
-                if (seqDone(s))
-                    completeSeq(s);
-                else
-                    live.push_back(std::move(s));
-            } catch (const runtime::Cancelled &) {
-                failSeq(s.req, cancelCause(), false);
-            } catch (...) {
-                failSeq(s.req, genFaultFrom(std::current_exception()),
-                        false);
-            }
-        }
+        isolateEach(fresh, live, [&](Live &s) {
+            return gen_.prefill({s.req.prompt}, {&s.state});
+        });
         return;
     }
 
     const std::vector<int> toks = nn::argmaxRows(logits);
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        Live &s = fresh[i];
-        if (!deliverToken(s, toks[i]))
-            continue;
-        s.next_input = toks[i];
-        if (seqDone(s))
-            completeSeq(s);
-        else
-            live.push_back(std::move(s));
-    }
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+        if (advance(fresh[i], toks[i]))
+            live.push_back(std::move(fresh[i]));
 }
 
 void
 GenerationEngine::stepLive(std::vector<Live> &live)
 {
-    const FaultPlan *plan = cfg_.fault_plan;
     std::size_t inv = 0;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu());
         inv = invoke_seq_++;
         ++stats_.steps;
-    }
-    std::string injected;
-    bool stall = false;
-    if (plan) {
-        const std::chrono::microseconds d = plan->batchDelay(inv);
-        if (d.count() > 0)
-            std::this_thread::sleep_for(d);
-        stall = plan->batchStalls(inv);
-        for (const Live &s : live)
-            if (injected.empty() &&
-                plan->requestFault(s.req.admission_index,
-                                   FaultPlan::Stage::Model))
-                injected = "injected model fault (request #" +
-                           std::to_string(s.req.admission_index) + ")";
     }
 
     std::vector<int> toks;
@@ -522,13 +312,15 @@ GenerationEngine::stepLive(std::vector<Live> &live)
         pre_lens.push_back(s.state.len);
     }
 
+    std::vector<Live> keep;
+    keep.reserve(live.size());
     Tensor logits;
     try {
-        logits = invokeGuarded(
-            [&] { return gen_.decodeStep(toks, states); }, stall,
-            injected.empty() ? nullptr : &injected);
+        logits = core_.invokeBatch(
+            inv, live, kAdmissionOf, nullptr,
+            [&] { return gen_.decodeStep(toks, states); });
     } catch (const runtime::Cancelled &) {
-        const Error err = cancelCause();
+        const Error err = core_.cancelCause();
         for (Live &s : live)
             failSeq(s.req, err, false);
         live.clear();
@@ -541,56 +333,17 @@ GenerationEngine::stepLive(std::vector<Live> &live)
         // decode-parity contract), the poisoned sequence alone fails.
         for (std::size_t i = 0; i < live.size(); ++i)
             gen_.rollback(live[i].state, pre_lens[i]);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.isolation_retries;
-        }
-        std::vector<Live> keep;
-        keep.reserve(live.size());
-        for (Live &s : live) {
-            std::string one;
-            if (plan && plan->requestFault(s.req.admission_index,
-                                           FaultPlan::Stage::Model))
-                one = "injected model fault (request #" +
-                      std::to_string(s.req.admission_index) + ")";
-            try {
-                const std::vector<int> t1{s.next_input};
-                const std::vector<SequenceState *> st1{&s.state};
-                const Tensor lg = invokeGuarded(
-                    [&] { return gen_.decodeStep(t1, st1); }, false,
-                    one.empty() ? nullptr : &one);
-                const int tok = nn::argmaxRows(lg)[0];
-                if (!deliverToken(s, tok))
-                    continue;
-                s.next_input = tok;
-                if (seqDone(s))
-                    completeSeq(s);
-                else
-                    keep.push_back(std::move(s));
-            } catch (const runtime::Cancelled &) {
-                failSeq(s.req, cancelCause(), false);
-            } catch (...) {
-                failSeq(s.req, genFaultFrom(std::current_exception()),
-                        false);
-            }
-        }
+        isolateEach(live, keep, [&](Live &s) {
+            return gen_.decodeStep({s.next_input}, {&s.state});
+        });
         live.swap(keep);
         return;
     }
 
     const std::vector<int> next = nn::argmaxRows(logits);
-    std::vector<Live> keep;
-    keep.reserve(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-        Live &s = live[i];
-        if (!deliverToken(s, next[i]))
-            continue;
-        s.next_input = next[i];
-        if (seqDone(s))
-            completeSeq(s);
-        else
-            keep.push_back(std::move(s));
-    }
+    for (std::size_t i = 0; i < live.size(); ++i)
+        if (advance(live[i], next[i]))
+            keep.push_back(std::move(live[i]));
     live.swap(keep);
 }
 
@@ -598,10 +351,10 @@ void
 GenerationEngine::schedulerLoop()
 {
     std::vector<Live> live;
-    std::unique_lock<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(core_.mu());
     for (;;) {
-        if (abandon_.load(std::memory_order_acquire) && !queue_.empty())
-            failQueuedLocked();
+        if (core_.abandoned() && !queue_.empty())
+            core_.failQueuedLocked();
         // Admission up to max_live: pop FIFO, discarding requests that
         // expired while queued (failed before any model time).
         std::vector<GenRequest> admitted;
@@ -610,25 +363,19 @@ GenerationEngine::schedulerLoop()
                !queue_.empty()) {
             GenRequest r = std::move(queue_.front());
             queue_.pop_front();
-            queued_tokens_ -= r.prompt.size();
+            core_.dequeuedLocked(r.prompt.size());
             if (r.deadline != kNoDeadline && r.deadline <= now) {
-                ++stats_.failed;
-                ++stats_.expired_in_queue;
-                outstanding_.erase(r.id);
-                r.promise.set_exception(std::make_exception_ptr(Error(
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired in queue (prompt never reached "
-                    "the model)")));
-                idle_cv_.notify_all();
+                r.promise.set_exception(
+                    std::make_exception_ptr(core_.expiredInQueueLocked()));
+                core_.resolvedLocked(r.id);
                 continue;
             }
             admitted.push_back(std::move(r));
         }
         if (admitted.empty() && live.empty()) {
-            if (stop_)
+            if (core_.stoppedLocked())
                 break;
-            idle_cv_.notify_all();
-            work_cv_.wait(lk);
+            core_.workCv().wait(lk);
             continue;
         }
         stats_.peak_live =
@@ -638,7 +385,7 @@ GenerationEngine::schedulerLoop()
         if (!admitted.empty())
             prefillAdmitted(std::move(admitted), live);
 
-        if (abandon_.load(std::memory_order_acquire)) {
+        if (core_.abandoned()) {
             const Error err(ErrorCode::ShuttingDown,
                             "live sequence evicted at the shutdown "
                             "deadline");
@@ -672,41 +419,11 @@ GenerationEngine::schedulerLoop()
         lk.lock();
     }
     lk.unlock();
-    // stop_ with sequences still live cannot happen after an orderly
+    // stop() with sequences still live cannot happen after an orderly
     // shutdown(); fail any leftovers rather than stranding futures.
     for (Live &s : live)
         failSeq(s.req, Error(ErrorCode::ShuttingDown, "engine stopped"),
                 false);
-}
-
-void
-GenerationEngine::watchdogLoop()
-{
-    std::unique_lock<std::mutex> wl(wd_mu_);
-    for (;;) {
-        if (wd_stop_)
-            return;
-        if (!wd_token_ || wd_fired_) {
-            wd_cv_.wait(wl);
-            continue;
-        }
-        const auto fire_at = wd_started_ + cfg_.watchdog_timeout;
-        if (RequestBatcher::Clock::now() >= fire_at) {
-            // The token lives on the scheduler thread's stack, but
-            // deregistration takes wd_mu_, so it cannot die while we
-            // hold the lock.
-            wd_token_->cancel();
-            wd_fired_ = true;
-            wl.unlock();
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++stats_.watchdog_fired;
-            }
-            wl.lock();
-            continue;
-        }
-        wd_cv_.wait_until(wl, fire_at);
-    }
 }
 
 } // namespace serve

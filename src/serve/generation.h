@@ -16,8 +16,8 @@
  * live-set composition can never change anyone's tokens.
  *
  * ## Failure model at token granularity (docs/SERVING.md)
- * The ServingEngine reliability layer (PR 6), carried to per-token
- * granularity:
+ * The reliability layer ServingEngine shares (serve/engine_core.h),
+ * carried to per-token granularity:
  *  - deadlines are re-checked EVERY STEP: an expired live sequence is
  *    evicted before the next token is computed (DeadlineExceeded with
  *    the tokens so far spent discarded, like mid-batch expiry);
@@ -41,22 +41,17 @@
 #ifndef FABNET_SERVE_GENERATION_H
 #define FABNET_SERVE_GENERATION_H
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "model/generator.h"
-#include "runtime/parallel.h"
+#include "serve/engine_core.h"
 #include "serve/error.h"
 #include "serve/fault.h"
-#include "serve/serving.h"
 
 namespace fabnet {
 namespace serve {
@@ -86,7 +81,7 @@ struct GenerationConfig
     /** Cap on total queued PROMPT tokens; 0 = unbounded. Must exceed
      *  max_seq to be satisfiable. */
     std::size_t max_queue_tokens = 0;
-    /** What to do when a cap is hit (serve/serving.h). */
+    /** What to do when a cap is hit (serve/engine_core.h). */
     ShedPolicy shed_policy = ShedPolicy::RejectNew;
 
     // ------------------------------------------------- reliability
@@ -194,16 +189,7 @@ class GenerationEngine
         int next_input = 0; ///< newest token, fed to the next step
     };
 
-    struct WatchdogArm;
-
     void schedulerLoop();
-    void watchdogLoop();
-
-    /** One guarded generator invocation: watchdog + cancel scope +
-     *  injected delay/stall/fault (keyed on the shared invocation
-     *  counter / the members' admission indices). */
-    Tensor invokeGuarded(const std::function<Tensor()> &fn, bool stall,
-                         const std::string *injected_fault);
 
     /** Batched ragged prefill of newly admitted requests, appending
      *  the survivors to @p live (first token sampled and streamed).
@@ -215,6 +201,17 @@ class GenerationEngine
      *  isolate per sequence. Completed/faulted sequences leave. */
     void stepLive(std::vector<Live> &live);
 
+    /** Per-sequence fault isolation after a faulted batched
+     *  invocation: re-run @p one for each of @p seqs (rolled back
+     *  already) as a 1-row retry; survivors still live go to @p keep,
+     *  the poisoned sequences alone fail. */
+    void isolateEach(std::vector<Live> &seqs, std::vector<Live> &keep,
+                     const std::function<Tensor(Live &)> &one);
+
+    /** Feed @p tok (sampled for @p seq) through deliverToken; returns
+     *  true while @p seq stays live, completing it when done. */
+    bool advance(Live &seq, int tok);
+
     /** Deliver @p tok into @p seq (generated list + callback); returns
      *  false when the callback threw (the sequence is failed). */
     bool deliverToken(Live &seq, int tok);
@@ -223,49 +220,27 @@ class GenerationEngine
      *  the positional table is exhausted). */
     bool seqDone(const Live &seq) const;
 
-    /** Resolve @p seq's future with its tokens (stats under mu_
-     *  first), erase it from outstanding_. */
+    /** Resolve @p seq's future with its tokens (stats under the lock
+     *  first), then mark it resolved. */
     void completeSeq(Live &seq);
 
-    /** Fail one sequence/request (stats under mu_ first). */
+    /** Fail one sequence/request (stats under the lock first). */
     void failSeq(GenRequest &req, const Error &err, bool mid_decode);
 
-    /** Fail every queued request with ShuttingDown (mu_ held). */
-    void failQueuedLocked();
-
-    /** The Error a cancelled invocation maps to (serving.cc). */
-    Error cancelCause() const;
+    /** EngineCore's EvictQueued hook (lock held). */
+    std::size_t evictQueuedLocked(Deadline cutoff, const Error &err);
 
     CausalGenerator &gen_;
     GenerationConfig cfg_;
-    /** Declared before the thread members: released by member
-     *  destruction even when the constructor throws mid-way. */
-    detail::WorkspaceCapLease ws_cap_lease_;
+    /** Admission, deadlines, watchdog, drain; its mu() guards every
+     *  member below. */
+    EngineCore core_;
 
-    mutable std::mutex mu_;
-    std::condition_variable work_cv_; ///< wakes the scheduler
-    std::condition_variable idle_cv_; ///< wakes flush()/shutdown waiters
-    std::deque<GenRequest> queue_;    ///< admitted, not yet live
-    std::set<std::uint64_t> outstanding_; ///< submitted, not resolved
-    std::uint64_t next_id_ = 0;
-    std::uint64_t submit_seq_ = 0;   ///< admission attempts (FaultPlan)
+    std::deque<GenRequest> queue_;   ///< admitted, not yet live
     std::size_t invoke_seq_ = 0;     ///< model invocations (FaultPlan)
-    std::size_t queued_tokens_ = 0;  ///< prompt tokens queued
-    bool stop_ = false;
-    bool draining_ = false;
+    /** Engine-specific counters; the shared ones live in core_. */
     GenerationStats stats_;
 
-    std::atomic<bool> abandon_{false};
-
-    // Watchdog state (serving.cc's scheme; lock order mu_ -> wd_mu_).
-    std::mutex wd_mu_;
-    std::condition_variable wd_cv_;
-    runtime::CancelToken *wd_token_ = nullptr;
-    RequestBatcher::Clock::time_point wd_started_{};
-    bool wd_fired_ = false;
-    bool wd_stop_ = false;
-
-    std::thread watchdog_;
     std::thread scheduler_; ///< last member: starts fully-initialised
 };
 

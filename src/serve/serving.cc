@@ -7,105 +7,16 @@
 
 #include "runtime/autotune.h"
 #include "runtime/isa.h"
-#include "runtime/workspace.h"
 
 namespace fabnet {
 namespace serve {
 
-namespace {
-
-/**
- * Process-wide registry of engine-installed workspace caps. With
- * overlapping engine lifetimes the tightest active cap wins (safe for
- * all of them - a tighter cap only trades reallocation for footprint),
- * and the pre-existing policy is restored only when the last engine
- * goes away.
- */
-class WorkspaceCapRegistry
-{
-  public:
-    void install(std::size_t cap)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (caps_.empty())
-            baseline_ = runtime::workspaceCapBytes();
-        caps_.insert(cap);
-        runtime::setWorkspaceCapBytes(*caps_.begin());
-    }
-    void remove(std::size_t cap)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        caps_.erase(caps_.find(cap));
-        runtime::setWorkspaceCapBytes(caps_.empty() ? baseline_
-                                                    : *caps_.begin());
-    }
-
-  private:
-    std::mutex mu_;
-    std::multiset<std::size_t> caps_;
-    std::size_t baseline_ = 0;
-};
-
-WorkspaceCapRegistry g_cap_registry;
-
-/** Map an invocation failure to the typed error its rows fail with:
- *  injected faults are already serve::Error and pass through, real
- *  model exceptions are wrapped as ModelFault keeping their message. */
-Error
-modelFaultFrom(std::exception_ptr ep)
-{
-    try {
-        std::rethrow_exception(ep);
-    } catch (const Error &e) {
-        return e;
-    } catch (const std::exception &e) {
-        return Error(ErrorCode::ModelFault, e.what());
-    } catch (...) {
-        return Error(ErrorCode::ModelFault, "unknown model exception");
-    }
-}
-
-} // namespace
-
-namespace detail {
-
-void
-installWorkspaceCap(std::size_t cap)
-{
-    g_cap_registry.install(cap);
-}
-
-void
-removeWorkspaceCap(std::size_t cap)
-{
-    g_cap_registry.remove(cap);
-}
-
-} // namespace detail
-
-/** Registers the in-flight invocation's cancel token and start time
- *  with the watchdog for the duration of the model call (RAII). */
-struct ServingEngine::WatchdogArm
-{
-    ServingEngine &e;
-    WatchdogArm(ServingEngine &eng, runtime::CancelToken &tok) : e(eng)
-    {
-        std::lock_guard<std::mutex> lk(e.wd_mu_);
-        e.wd_token_ = &tok;
-        e.wd_started_ = RequestBatcher::Clock::now();
-        e.wd_fired_ = false;
-        e.wd_cv_.notify_all();
-    }
-    ~WatchdogArm()
-    {
-        std::lock_guard<std::mutex> lk(e.wd_mu_);
-        e.wd_token_ = nullptr;
-        e.wd_cv_.notify_all();
-    }
-};
-
 ServingEngine::ServingEngine(SequenceClassifier &model, ServingConfig cfg)
     : model_(model), cfg_(cfg),
+      core_("ServingEngine", cfg_, model.config().max_seq,
+            [this](Deadline cutoff, const Error &err) {
+                return evictQueuedLocked(cutoff, err);
+            }),
       batcher_(cfg.max_batch, cfg.bucket_granularity,
                model.config().max_seq)
 {
@@ -124,52 +35,20 @@ ServingEngine::ServingEngine(SequenceClassifier &model, ServingConfig cfg)
             "bucket_granularity == 1 (padding-free buckets), or set "
             "ServingConfig::allow_unmasked_mixers to serve anyway, "
             "forfeiting per-request determinism.");
-    if (cfg_.max_queue_tokens != 0 &&
-        cfg_.max_queue_tokens < model_.config().max_seq)
-        throw std::invalid_argument(
-            "ServingEngine: max_queue_tokens below max_seq would make "
-            "some valid requests permanently inadmissible");
-    // RAII member lease: survives a throwing std::thread constructor
-    // below (the engine destructor would not run, the member's would).
-    ws_cap_lease_ =
-        detail::WorkspaceCapLease(cfg_.workspace_cap_bytes);
-    if (cfg_.watchdog_timeout.count() > 0)
-        watchdog_ = std::thread([this] { watchdogLoop(); });
     dispatcher_ = std::thread([this] { dispatchLoop(); });
 }
 
 ServingEngine::~ServingEngine()
 {
-    // Full graceful drain first: every outstanding future resolves
-    // (and every flush()/serveAll() waiter is released) before the
-    // threads are torn down.
-    shutdown();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-        work_cv_.notify_all();
-        idle_cv_.notify_all();
-    }
+    core_.stop();
     dispatcher_.join();
-    if (watchdog_.joinable()) {
-        {
-            std::lock_guard<std::mutex> wl(wd_mu_);
-            wd_stop_ = true;
-            wd_cv_.notify_all();
-        }
-        watchdog_.join();
-    }
-    // ws_cap_lease_ releases the workspace cap via member destruction.
 }
 
 std::future<std::vector<float>>
 ServingEngine::enqueueLocked(std::vector<int> tokens, Deadline deadline,
                              bool enforce_bounds)
 {
-    // Admission attempts are numbered in order - rejected ones
-    // included - so FaultPlan admission indices are deterministic for
-    // a fixed submission sequence.
-    const std::uint64_t admission_index = submit_seq_++;
+    const std::uint64_t admission_index = core_.beginAdmissionLocked();
     // Validate the length up front with a typed error; nothing is
     // queued on any throw below.
     try {
@@ -177,77 +56,41 @@ ServingEngine::enqueueLocked(std::vector<int> tokens, Deadline deadline,
     } catch (const std::invalid_argument &e) {
         throw Error(ErrorCode::InvalidRequest, e.what());
     }
-    const FaultPlan *plan = cfg_.fault_plan;
-    if (plan && plan->requestFault(admission_index,
-                                   FaultPlan::Stage::Admission))
-        throw Error(ErrorCode::InvalidRequest,
-                    "injected admission fault (request #" +
-                        std::to_string(admission_index) + ")");
-    const auto now = RequestBatcher::Clock::now();
-    if (deadline != kNoDeadline && deadline <= now) {
-        ++stats_.expired_in_queue;
-        throw Error(ErrorCode::DeadlineExceeded,
-                    "deadline already expired at submit");
-    }
-    if (enforce_bounds) {
-        const auto over = [&] {
-            return (cfg_.max_queue_requests != 0 &&
-                    batcher_.size() >= cfg_.max_queue_requests) ||
-                   (cfg_.max_queue_tokens != 0 &&
-                    queued_tokens_ + tokens.size() >
-                        cfg_.max_queue_tokens);
-        };
-        if (over() && cfg_.shed_policy == ShedPolicy::DropExpiredFirst)
-            shedExpiredLocked(now);
-        if (over()) {
-            ++stats_.rejected;
-            throw Error(ErrorCode::QueueFull,
-                        "admission queue full (" +
-                            std::to_string(batcher_.size()) +
-                            " requests / " +
-                            std::to_string(queued_tokens_) +
-                            " tokens queued)");
-        }
-    }
-    const std::uint64_t id = next_id_++;
-    batcher_.push(id, tokens.size(), now);
-    outstanding_.insert(id);
-    queued_tokens_ += tokens.size();
+    const std::uint64_t id = core_.admitLocked(
+        admission_index, tokens.size(), deadline, enforce_bounds);
+    batcher_.push(id, tokens.size(), RequestBatcher::Clock::now());
     if (deadline != kNoDeadline)
         deadlines_.emplace(deadline, id);
     Pending &p = pending_[id];
     p.tokens = std::move(tokens);
     p.deadline = deadline;
     p.admission_index = admission_index;
-    std::future<std::vector<float>> fut = p.promise.get_future();
-    ++stats_.requests;
-    return fut;
+    return p.promise.get_future();
 }
 
-void
-ServingEngine::shedExpiredLocked(RequestBatcher::Clock::time_point now)
+std::size_t
+ServingEngine::evictQueuedLocked(Deadline cutoff, const Error &err)
 {
     const std::vector<std::uint64_t> victims =
         batcher_.removeIf([&](std::uint64_t id) {
-            const Pending &p = pending_.at(id);
-            return p.deadline != kNoDeadline && p.deadline <= now;
+            return pending_.at(id).deadline <= cutoff;
         });
-    if (victims.empty())
-        return;
-    stats_.shed += victims.size();
-    stats_.failed += victims.size();
-    for (std::uint64_t id : victims) {
+    return failRemovedLocked(victims, err);
+}
+
+std::size_t
+ServingEngine::failRemovedLocked(const std::vector<std::uint64_t> &ids,
+                                 const Error &err)
+{
+    for (std::uint64_t id : ids) {
         auto it = pending_.find(id);
-        queued_tokens_ -= it->second.tokens.size();
+        core_.dequeuedLocked(it->second.tokens.size());
         eraseDeadlineLocked(it->second.deadline, id);
-        it->second.promise.set_exception(std::make_exception_ptr(Error(
-            ErrorCode::DeadlineExceeded,
-            "shed from the admission queue (DropExpiredFirst: deadline "
-            "expired before dispatch)")));
+        it->second.promise.set_exception(std::make_exception_ptr(err));
         pending_.erase(it);
-        outstanding_.erase(id);
+        core_.resolvedLocked(id);
     }
-    idle_cv_.notify_all(); // outstanding_ shrank: waiters re-check
+    return ids.size();
 }
 
 void
@@ -260,35 +103,13 @@ ServingEngine::eraseDeadlineLocked(Deadline deadline, std::uint64_t id)
         deadlines_.erase(it);
 }
 
-void
-ServingEngine::failQueuedLocked()
-{
-    const std::vector<std::uint64_t> victims =
-        batcher_.removeIf([](std::uint64_t) { return true; });
-    stats_.failed += victims.size();
-    for (std::uint64_t id : victims) {
-        auto it = pending_.find(id);
-        queued_tokens_ -= it->second.tokens.size();
-        eraseDeadlineLocked(it->second.deadline, id);
-        it->second.promise.set_exception(std::make_exception_ptr(Error(
-            ErrorCode::ShuttingDown,
-            "engine shut down before this request was served")));
-        pending_.erase(it);
-        outstanding_.erase(id);
-    }
-    idle_cv_.notify_all();
-}
-
 std::future<std::vector<float>>
 ServingEngine::submit(std::vector<int> tokens, Deadline deadline)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_ || draining_)
-        throw Error(ErrorCode::ShuttingDown,
-                    "engine is shutting down; request not admitted");
+    std::lock_guard<std::mutex> lk(core_.mu());
     std::future<std::vector<float>> fut =
         enqueueLocked(std::move(tokens), deadline, true);
-    work_cv_.notify_all();
+    core_.workCv().notify_all();
     return fut;
 }
 
@@ -302,8 +123,8 @@ ServingEngine::serveAll(const std::vector<std::vector<int>> &requests)
         // Bulk enqueue WITHOUT waking the dispatcher: the calling
         // thread is about to run the groups itself, so the handoff
         // would only add a wakeup and a context switch per batch.
-        std::lock_guard<std::mutex> lk(mu_);
-        if (stop_ || draining_)
+        std::lock_guard<std::mutex> lk(core_.mu());
+        if (core_.closedLocked())
             throw Error(ErrorCode::ShuttingDown,
                         "engine is shutting down; request set not "
                         "admitted");
@@ -319,7 +140,7 @@ ServingEngine::serveAll(const std::vector<std::vector<int>> &requests)
                                 ": " + e.what());
             }
         }
-        const std::uint64_t first_id = next_id_;
+        const std::uint64_t first_id = core_.watermarkLocked();
         try {
             // serveAll is exempt from the admission caps (the caller
             // is synchronous and self-draining - it IS the
@@ -330,26 +151,18 @@ ServingEngine::serveAll(const std::vector<std::vector<int>> &requests)
             // Lengths were pre-validated, so only an injected
             // admission fault lands here. Keep the all-or-nothing
             // contract: unwind the already-admitted prefix (we held
-            // mu_ throughout, so every id >= first_id is ours and
-            // still queued) instead of leaving it to drain silently.
+            // the lock throughout, so every id >= first_id is ours
+            // and still queued) instead of leaving it to drain
+            // silently.
+            const Error err(ErrorCode::InvalidRequest,
+                            "aborted: a later request in the same "
+                            "serveAll set failed admission");
             const std::vector<std::uint64_t> prefix = batcher_.removeIf(
                 [&](std::uint64_t id) { return id >= first_id; });
-            stats_.failed += prefix.size();
-            for (std::uint64_t id : prefix) {
-                auto it = pending_.find(id);
-                queued_tokens_ -= it->second.tokens.size();
-                it->second.promise.set_exception(
-                    std::make_exception_ptr(Error(
-                        ErrorCode::InvalidRequest,
-                        "aborted: a later request in the same "
-                        "serveAll set failed admission")));
-                pending_.erase(it);
-                outstanding_.erase(id);
-            }
-            idle_cv_.notify_all();
+            core_.countFailedLocked(failRemovedLocked(prefix, err), err);
             throw;
         }
-        watermark = next_id_;
+        watermark = core_.watermarkLocked();
         // Same critical section as the enqueue: the dispatcher can
         // never observe the requests without also observing the
         // inline server, so it parks instead of stealing groups.
@@ -362,26 +175,20 @@ ServingEngine::serveAll(const std::vector<std::vector<int>> &requests)
     // the same grouping the dispatcher would produce.
     try {
         for (;;) {
-            std::unique_lock<std::mutex> lk(mu_);
-            const auto served_to_watermark = [this, watermark] {
-                return outstanding_.empty() ||
-                       *outstanding_.begin() >= watermark;
-            };
+            std::unique_lock<std::mutex> lk(core_.mu());
             std::optional<BatchGroup> group =
                 batcher_.popReady(RequestBatcher::Clock::now(),
                                   cfg_.max_wait);
             if (!group)
                 group = batcher_.drainBelow(watermark);
             if (!group) {
-                if (served_to_watermark())
+                if (core_.resolvedBelowLocked(watermark))
                     break;
                 // The rest is in flight on another server (a
                 // concurrent serveAll, a flush-draining dispatcher);
                 // wait like flush() does.
-                idle_cv_.wait(lk, [&] {
-                    return served_to_watermark() || stop_;
-                });
-                if (stop_)
+                core_.waitResolvedBelow(lk, watermark);
+                if (core_.stoppedLocked())
                     break; // shutdown drain will fulfil the futures
                 continue;
             }
@@ -399,17 +206,17 @@ ServingEngine::serveAll(const std::vector<std::vector<int>> &requests)
             finishGroupLocked(*group);
         }
     } catch (...) {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu());
         --inline_active_;
-        work_cv_.notify_all();
+        core_.workCv().notify_all();
         throw;
     }
     {
         // Hand whatever post-watermark traffic accumulated back to
         // the dispatcher.
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu());
         --inline_active_;
-        work_cv_.notify_all();
+        core_.workCv().notify_all();
     }
 
     std::vector<std::vector<float>> out;
@@ -422,24 +229,16 @@ ServingEngine::serveAll(const std::vector<std::vector<int>> &requests)
 void
 ServingEngine::flush()
 {
-    std::unique_lock<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(core_.mu());
     // Watermark: wait for the requests submitted before this call
     // only, so concurrent submitters cannot starve a flusher.
-    const std::uint64_t watermark = next_id_;
-    const auto served_to_watermark = [this, watermark] {
-        return outstanding_.empty() ||
-               *outstanding_.begin() >= watermark;
-    };
-    if (served_to_watermark())
+    const std::uint64_t watermark = core_.watermarkLocked();
+    if (core_.resolvedBelowLocked(watermark))
         return;
     ++flush_waiters_;
     flush_watermark_ = std::max(flush_watermark_, watermark);
-    work_cv_.notify_all();
-    // A shutdown() racing this flush resolves every outstanding
-    // future (served, or failed at a shutdown deadline), so the
-    // predicate always becomes true: flush is never stranded across
-    // shutdown and returns with its whole watermark resolved.
-    idle_cv_.wait(lk, [&] { return served_to_watermark() || stop_; });
+    core_.workCv().notify_all();
+    core_.waitResolvedBelow(lk, watermark);
     if (--flush_waiters_ == 0)
         flush_watermark_ = 0;
 }
@@ -447,31 +246,7 @@ ServingEngine::flush()
 void
 ServingEngine::shutdown(Deadline deadline)
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    draining_ = true;
-    work_cv_.notify_all(); // dispatcher switches to drain mode
-    const auto all_resolved = [this] { return outstanding_.empty(); };
-    if (deadline == kNoDeadline) {
-        // Full drain. (Not wait_until: time_point::max() overflows
-        // some libstdc++ wait implementations.)
-        idle_cv_.wait(lk, all_resolved);
-        return;
-    }
-    if (idle_cv_.wait_until(lk, deadline, all_resolved))
-        return;
-    // Deadline passed: fail everything still queued, cooperatively
-    // cancel the in-flight invocation (its rows fail with
-    // ShuttingDown via cancelCause), and wait for the last group to
-    // unwind. abandon_ is set first so a Cancelled invocation - and
-    // one that arms after this point - attributes to shutdown.
-    abandon_.store(true, std::memory_order_release);
-    failQueuedLocked();
-    {
-        std::lock_guard<std::mutex> wl(wd_mu_);
-        if (wd_token_)
-            wd_token_->cancel();
-    }
-    idle_cv_.wait(lk, all_resolved);
+    core_.shutdown(deadline);
 }
 
 std::size_t
@@ -483,22 +258,13 @@ ServingEngine::bucketLen(std::size_t len) const
 ServingStats
 ServingEngine::stats() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(core_.mu());
     ServingStats out = stats_;
+    core_.statsLocked().copyTo(out);
     out.isa = runtime::isa();
     out.cpu_signature = runtime::cpuSignature();
     out.tuning = runtime::tuningReport();
     return out;
-}
-
-Error
-ServingEngine::cancelCause() const
-{
-    return abandon_.load(std::memory_order_acquire)
-               ? Error(ErrorCode::ShuttingDown,
-                       "invocation cancelled at the shutdown deadline")
-               : Error(ErrorCode::ModelFault,
-                       "watchdog cancelled a stuck model invocation");
 }
 
 void
@@ -507,51 +273,12 @@ ServingEngine::failGroup(std::vector<Pending> &reqs, const Error &err)
     // Count the failures BEFORE the futures become ready (same
     // publication order as the success path).
     {
-        std::lock_guard<std::mutex> guard(mu_);
-        stats_.failed += reqs.size();
-        if (err.code() == ErrorCode::ModelFault)
-            stats_.model_faults += reqs.size();
+        std::lock_guard<std::mutex> guard(core_.mu());
+        core_.countFailedLocked(reqs.size(), err);
     }
     const std::exception_ptr ep = std::make_exception_ptr(err);
     for (Pending &p : reqs)
         p.promise.set_exception(ep);
-}
-
-Tensor
-ServingEngine::invokeModel(const std::vector<int> &tokens,
-                           std::size_t bsz, std::size_t seq,
-                           const std::vector<std::size_t> &lens,
-                           bool stall, const std::string *injected_fault)
-{
-    // The model is single-user (layer caches); the dispatcher, inline
-    // serveAll() callers and isolation retries serialise here.
-    std::lock_guard<std::mutex> model_lock(model_mu_);
-    runtime::CancelToken cancel;
-    WatchdogArm arm(*this, cancel);
-    runtime::CancelScope scope(cancel);
-    // A shutdown deadline that passed while we waited for the model
-    // mutex cancels this invocation before any work is done.
-    if (abandon_.load(std::memory_order_acquire))
-        cancel.cancel();
-    if (stall) {
-        // Injected stall: spin until the watchdog (or a shutdown
-        // deadline) cancels us; the safety bound turns a missing
-        // watchdog into a loud ModelFault instead of a hung test.
-        const auto start = RequestBatcher::Clock::now();
-        for (;;) {
-            if (cancel.cancelled())
-                throw runtime::Cancelled{};
-            if (RequestBatcher::Clock::now() - start >
-                std::chrono::seconds(10))
-                throw Error(ErrorCode::ModelFault,
-                            "injected stall hit its 10s safety bound "
-                            "(no watchdog cancelled it)");
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-    }
-    if (injected_fault)
-        throw Error(ErrorCode::ModelFault, *injected_fault);
-    return model_.forwardBatch(tokens, bsz, seq, lens);
 }
 
 void
@@ -560,27 +287,13 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
     std::vector<Pending> &reqs = claimed.reqs;
     const std::size_t bsz = reqs.size();
     const std::size_t seq = group.padded_len;
-    const FaultPlan *plan = cfg_.fault_plan;
-
-    if (plan) {
-        const std::chrono::microseconds d =
-            plan->batchDelay(claimed.dispatch_index);
-        if (d.count() > 0)
-            std::this_thread::sleep_for(d);
-    }
 
     std::vector<int> tokens(bsz * seq, cfg_.pad_token);
     std::vector<std::size_t> lens(bsz);
-    std::string injected;
     for (std::size_t i = 0; i < bsz; ++i) {
         lens[i] = reqs[i].tokens.size();
         std::copy(reqs[i].tokens.begin(), reqs[i].tokens.end(),
                   tokens.begin() + i * seq);
-        if (plan && injected.empty() &&
-            plan->requestFault(reqs[i].admission_index,
-                               FaultPlan::Stage::Model))
-            injected = "injected model fault (request #" +
-                       std::to_string(reqs[i].admission_index) + ")";
     }
 
     // Build every result before fulfilling any promise, so the catch
@@ -588,10 +301,14 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
     // on one throws future_error out of the dispatcher).
     std::vector<std::vector<float>> outs;
     try {
-        const Tensor logits =
-            invokeModel(tokens, bsz, seq, lens,
-                        plan && plan->batchStalls(claimed.dispatch_index),
-                        injected.empty() ? nullptr : &injected);
+        // The model is single-user (layer caches); the dispatcher,
+        // inline serveAll() callers and isolation retries serialise on
+        // model_mu_.
+        const Tensor logits = core_.invokeBatch(
+            claimed.dispatch_index, reqs,
+            [](const Pending &p) { return p.admission_index; },
+            &model_mu_,
+            [&] { return model_.forwardBatch(tokens, bsz, seq, lens); });
         const std::size_t classes = logits.dim(1);
         outs.reserve(bsz);
         for (std::size_t i = 0; i < bsz; ++i) {
@@ -602,12 +319,12 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
         // Watchdog / shutdown-deadline cancellation fails the whole
         // group: the invocation never finished, so there is no row to
         // salvage, and re-running a stuck batch would stick again.
-        failGroup(reqs, cancelCause());
+        failGroup(reqs, core_.cancelCause());
         return;
     } catch (...) {
         if (bsz == 1) {
             // Already a 1-row batch: the fault belongs to this row.
-            failGroup(reqs, modelFaultFrom(std::current_exception()));
+            failGroup(reqs, core_.faultFrom(std::current_exception()));
             return;
         }
         // Per-request fault isolation: one bounded per-row pass so the
@@ -634,9 +351,9 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
     // immediately calls stats() must already see this batch counted
     // (tests/serving_test.cpp relies on it).
     {
-        std::lock_guard<std::mutex> guard(mu_);
-        stats_.completed += bsz - n_expired;
-        stats_.failed += n_expired;
+        std::lock_guard<std::mutex> guard(core_.mu());
+        core_.statsLocked().completed += bsz - n_expired;
+        core_.statsLocked().failed += n_expired;
         stats_.expired_mid_batch += n_expired;
         std::size_t real = 0, max_len = 0;
         for (const Pending &p : reqs) {
@@ -665,16 +382,15 @@ void
 ServingEngine::isolateRows(std::vector<Pending> reqs)
 {
     {
-        std::lock_guard<std::mutex> guard(mu_);
-        ++stats_.isolation_retries;
+        std::lock_guard<std::mutex> guard(core_.mu());
+        ++core_.statsLocked().isolation_retries;
     }
-    const FaultPlan *plan = cfg_.fault_plan;
     for (Pending &p : reqs) {
         const auto now = RequestBatcher::Clock::now();
         if (p.deadline != kNoDeadline && p.deadline <= now) {
             {
-                std::lock_guard<std::mutex> guard(mu_);
-                ++stats_.failed;
+                std::lock_guard<std::mutex> guard(core_.mu());
+                ++core_.statsLocked().failed;
                 ++stats_.expired_mid_batch;
             }
             p.promise.set_exception(std::make_exception_ptr(Error(
@@ -682,74 +398,56 @@ ServingEngine::isolateRows(std::vector<Pending> reqs)
                 "deadline passed during fault isolation")));
             continue;
         }
-        std::string injected;
-        // Model faults are sticky (serve/fault.h): an injected fault
-        // fires in the isolation pass too, so the poisoned row fails
-        // here instead of silently succeeding on retry.
-        if (plan && plan->requestFault(p.admission_index,
-                                       FaultPlan::Stage::Model))
-            injected = "injected model fault (request #" +
-                       std::to_string(p.admission_index) + ")";
         const std::size_t len = p.tokens.size();
+        std::vector<float> out;
         try {
             // A 1-row batch at the row's own length: bitwise equal to
             // the row's batched result by the engine's determinism
             // guarantee, so survivors of a poisoned batch see logits
             // identical to a fault-free run.
-            const Tensor logits = invokeModel(
-                p.tokens, 1, len, {len}, false,
-                injected.empty() ? nullptr : &injected);
-            const std::size_t classes = logits.dim(1);
-            std::vector<float> out(logits.data(),
-                                   logits.data() + classes);
-            {
-                std::lock_guard<std::mutex> guard(mu_);
-                ++stats_.completed;
-                stats_.real_tokens += len;
-                stats_.padded_tokens += len;
-                stats_.tight_tokens += len;
-            }
-            p.promise.set_value(std::move(out));
-        } catch (const runtime::Cancelled &) {
-            const Error err = cancelCause();
-            {
-                std::lock_guard<std::mutex> guard(mu_);
-                ++stats_.failed;
-                if (err.code() == ErrorCode::ModelFault)
-                    ++stats_.model_faults;
-            }
-            p.promise.set_exception(std::make_exception_ptr(err));
+            const Tensor logits =
+                core_.invokeRetry(p.admission_index, &model_mu_, [&] {
+                    return model_.forwardBatch(p.tokens, 1, len, {len});
+                });
+            out.assign(logits.data(), logits.data() + logits.dim(1));
         } catch (...) {
-            const Error err = modelFaultFrom(std::current_exception());
+            const Error err = core_.faultFrom(std::current_exception());
             {
-                std::lock_guard<std::mutex> guard(mu_);
-                ++stats_.failed;
-                if (err.code() == ErrorCode::ModelFault)
-                    ++stats_.model_faults;
+                std::lock_guard<std::mutex> guard(core_.mu());
+                core_.countFailedLocked(1, err);
             }
             p.promise.set_exception(std::make_exception_ptr(err));
+            continue;
         }
+        {
+            std::lock_guard<std::mutex> guard(core_.mu());
+            ++core_.statsLocked().completed;
+            stats_.real_tokens += len;
+            stats_.padded_tokens += len;
+            stats_.tight_tokens += len;
+        }
+        p.promise.set_value(std::move(out));
     }
 }
 
 void
 ServingEngine::dispatchLoop()
 {
-    std::unique_lock<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(core_.mu());
     for (;;) {
         std::optional<BatchGroup> group;
         // While flushers wait, drain the buckets holding their
         // pre-watermark requests; post-watermark traffic keeps normal
         // full/timeout batching (and cannot starve the flusher, since
         // its buckets no longer compete for the drain).
-        if (stop_ || draining_)
+        if (core_.closedLocked())
             group = batcher_.drain();
         else if (inline_active_ > 0 && flush_waiters_ == 0) {
             // Inline serveAll() servers own the queue: parking here
             // avoids stealing their groups (and serialising on the
-            // model mutex behind them). They notify work_cv_ on exit
-            // for whatever traffic remains.
-            work_cv_.wait(lk);
+            // model mutex behind them). They notify the work condition
+            // on exit for whatever traffic remains.
+            core_.workCv().wait(lk);
             continue;
         } else if (flush_waiters_ > 0)
             group = batcher_.drainBelow(flush_watermark_);
@@ -771,7 +469,7 @@ ServingEngine::dispatchLoop()
                 deadlines_.erase(deadlines_.begin());
         }
         if (!group) {
-            if (stop_)
+            if (core_.stoppedLocked())
                 break; // queue drained
             auto oldest = batcher_.oldestEnqueue();
             std::optional<RequestBatcher::Clock::time_point> wake;
@@ -780,9 +478,9 @@ ServingEngine::dispatchLoop()
             // Re-arm against the earliest queued deadline too: it
             // turns urgent at deadline - max_wait, and an arriving
             // request with an earlier effective deadline notifies
-            // work_cv_ (submit()), landing back here to re-arm - the
-            // dispatcher never sleeps out a full max_wait while a
-            // near-deadline request expires in queue.
+            // the work condition (submit()), landing back here to
+            // re-arm - the dispatcher never sleeps out a full max_wait
+            // while a near-deadline request expires in queue.
             if (!deadlines_.empty()) {
                 const auto urgent_at =
                     deadlines_.begin()->first - cfg_.max_wait;
@@ -790,9 +488,9 @@ ServingEngine::dispatchLoop()
                     wake = urgent_at;
             }
             if (wake)
-                work_cv_.wait_until(lk, *wake);
+                core_.workCv().wait_until(lk, *wake);
             else
-                work_cv_.wait(lk);
+                core_.workCv().wait(lk);
             continue;
         }
 
@@ -819,18 +517,14 @@ ServingEngine::claimGroupLocked(const BatchGroup &group)
         auto it = pending_.find(id);
         Pending p = std::move(it->second);
         pending_.erase(it);
-        queued_tokens_ -= p.tokens.size();
+        core_.dequeuedLocked(p.tokens.size());
         eraseDeadlineLocked(p.deadline, id);
         if (p.deadline != kNoDeadline && p.deadline <= now) {
             // Expired while queued: fail BEFORE any model time is
-            // spent. Counted under mu_ (held) before the future is
-            // readied; outstanding_ is erased in finishGroupLocked.
-            ++stats_.failed;
-            ++stats_.expired_in_queue;
-            p.promise.set_exception(std::make_exception_ptr(Error(
-                ErrorCode::DeadlineExceeded,
-                "deadline expired in queue (request never reached the "
-                "model)")));
+            // spent. Counted (lock held) before the future is readied;
+            // the id is resolved in finishGroupLocked.
+            p.promise.set_exception(
+                std::make_exception_ptr(core_.expiredInQueueLocked()));
             continue;
         }
         claimed.reqs.push_back(std::move(p));
@@ -860,38 +554,7 @@ void
 ServingEngine::finishGroupLocked(const BatchGroup &group)
 {
     for (std::uint64_t id : group.ids)
-        outstanding_.erase(id);
-    idle_cv_.notify_all(); // flush()/serveAll() waiters re-check
-}
-
-void
-ServingEngine::watchdogLoop()
-{
-    std::unique_lock<std::mutex> wl(wd_mu_);
-    for (;;) {
-        if (wd_stop_)
-            return;
-        if (!wd_token_ || wd_fired_) {
-            wd_cv_.wait(wl);
-            continue;
-        }
-        const auto fire_at = wd_started_ + cfg_.watchdog_timeout;
-        if (RequestBatcher::Clock::now() >= fire_at) {
-            // The token lives on the invoking thread's stack, but
-            // deregistration takes wd_mu_, so it cannot die while we
-            // hold the lock.
-            wd_token_->cancel();
-            wd_fired_ = true;
-            wl.unlock();
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++stats_.watchdog_fired;
-            }
-            wl.lock();
-            continue;
-        }
-        wd_cv_.wait_until(wl, fire_at);
-    }
+        core_.resolvedLocked(id); // wakes flush()/serveAll() waiters
 }
 
 } // namespace serve

@@ -64,9 +64,7 @@
 #ifndef FABNET_SERVE_SERVING_H
 #define FABNET_SERVE_SERVING_H
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <mutex>
@@ -78,131 +76,13 @@
 #include <vector>
 
 #include "model/classifier.h"
-#include "runtime/parallel.h"
 #include "serve/batcher.h"
+#include "serve/engine_core.h"
 #include "serve/error.h"
 #include "serve/fault.h"
 
 namespace fabnet {
 namespace serve {
-
-namespace detail {
-/**
- * Process-wide engine-shared workspace-cap registry (serving.cc): the
- * tightest active cap wins, and the pre-existing policy is restored
- * when the last engine removes its cap. Used by every serve-side
- * engine (ServingEngine, GenerationEngine).
- */
-void installWorkspaceCap(std::size_t cap);
-void removeWorkspaceCap(std::size_t cap);
-
-/**
- * RAII lease on the cap registry. Engines hold one as a data member
- * declared BEFORE their worker-thread members: if anything later in
- * construction throws (std::thread can raise std::system_error), the
- * already-constructed lease member is destroyed and the cap comes back
- * out of the registry - the engine destructor never runs for a
- * partially constructed object, so a plain install-in-ctor /
- * remove-in-dtor pair would leak the process-wide cap on exactly that
- * path. A zero cap is a no-op lease.
- */
-class WorkspaceCapLease
-{
-  public:
-    WorkspaceCapLease() = default;
-    explicit WorkspaceCapLease(std::size_t cap) : cap_(cap)
-    {
-        if (cap_ != 0)
-            installWorkspaceCap(cap_);
-    }
-    WorkspaceCapLease(WorkspaceCapLease &&o) noexcept : cap_(o.cap_)
-    {
-        o.cap_ = 0;
-    }
-    WorkspaceCapLease &operator=(WorkspaceCapLease &&o) noexcept
-    {
-        if (this != &o) {
-            release();
-            cap_ = o.cap_;
-            o.cap_ = 0;
-        }
-        return *this;
-    }
-    WorkspaceCapLease(const WorkspaceCapLease &) = delete;
-    WorkspaceCapLease &operator=(const WorkspaceCapLease &) = delete;
-    ~WorkspaceCapLease() { release(); }
-
-  private:
-    void release()
-    {
-        if (cap_ != 0) {
-            removeWorkspaceCap(cap_);
-            cap_ = 0;
-        }
-    }
-    std::size_t cap_ = 0;
-};
-} // namespace detail
-
-/**
- * Absolute per-request deadline on the batcher's steady clock.
- * kNoDeadline (the default everywhere) disables deadline handling for
- * that request entirely.
- */
-using Deadline = RequestBatcher::Clock::time_point;
-
-/** "No deadline": requests carrying this value never expire. */
-inline constexpr Deadline kNoDeadline = Deadline::max();
-
-/**
- * Deadline @p d from now (submit(tokens, deadlineAfter(50ms))).
- *
- * Saturating: `now + d` is evaluated in a wide floating representation
- * of the clock's period, so a huge duration (hours(1 << 20),
- * microseconds::max(), duration::max() of any unit) can never overflow
- * the steady_clock rep into a long-PAST deadline that expires every
- * request instantly. Anything that would land at or beyond
- * kNoDeadline saturates TO kNoDeadline - "further out than the clock
- * can represent" and "no deadline" are operationally identical.
- * Negative durations symmetrically saturate to the clock's minimum
- * (an already-expired deadline, as expected).
- */
-template <class Rep, class Period>
-inline Deadline
-deadlineAfter(std::chrono::duration<Rep, Period> d)
-{
-    using ClockDur = RequestBatcher::Clock::duration;
-    using Wide = std::chrono::duration<long double, ClockDur::period>;
-    const Deadline now = RequestBatcher::Clock::now();
-    // All three values in units of the clock period, as long double
-    // (80/128-bit: exact for any rep the comparison needs to rank).
-    const long double now_ticks =
-        static_cast<long double>(now.time_since_epoch().count());
-    const long double want_ticks =
-        std::chrono::duration_cast<Wide>(d).count();
-    const long double max_ticks = static_cast<long double>(
-        kNoDeadline.time_since_epoch().count());
-    const long double min_ticks = static_cast<long double>(
-        Deadline::min().time_since_epoch().count());
-    if (want_ticks >= max_ticks - now_ticks)
-        return kNoDeadline;
-    if (want_ticks <= min_ticks - now_ticks)
-        return Deadline::min();
-    return now + std::chrono::duration_cast<ClockDur>(d);
-}
-
-/** What bounded admission does when the queue caps are hit. */
-enum class ShedPolicy {
-    /** Reject the NEW request with Error{QueueFull}. Queued requests
-     *  are never touched - strict FIFO fairness. */
-    RejectNew,
-    /** First shed queued requests whose deadline has already expired
-     *  (they are failed with Error{DeadlineExceeded} - they could
-     *  never be served in time anyway), then admit if that made room,
-     *  else reject with Error{QueueFull}. Under overload this spends
-     *  the queue on requests that can still meet their deadline. */
-    DropExpiredFirst,
-};
 
 /** Batching/flush/robustness policy knobs. */
 struct ServingConfig
@@ -467,11 +347,7 @@ class ServingEngine
         std::size_t dispatch_index = 0;
     };
 
-    /** Registers the in-flight invocation with the watchdog (RAII). */
-    struct WatchdogArm;
-
     void dispatchLoop();
-    void watchdogLoop();
 
     /**
      * Serve one claimed group: counts completed/failed (and token
@@ -482,64 +358,44 @@ class ServingEngine
      */
     void runGroup(const BatchGroup &group, ClaimedGroup claimed);
 
-    /**
-     * One model invocation under the model mutex, armed with the
-     * watchdog + cancellation scope and the fault-injection hooks
-     * (stall, injected row fault). Throws runtime::Cancelled when the
-     * watchdog or a shutdown deadline fires mid-invocation.
-     */
-    Tensor invokeModel(const std::vector<int> &tokens, std::size_t bsz,
-                       std::size_t seq,
-                       const std::vector<std::size_t> &lens, bool stall,
-                       const std::string *injected_fault);
-
     /** Bounded per-row retry after a group's invocation failed: each
      *  surviving row is re-run exactly once as a 1-row batch (bitwise
      *  equal to its batched result by the engine's determinism
      *  guarantee); the poisoned rows alone fail with ModelFault. */
     void isolateRows(std::vector<Pending> reqs);
 
-    /** The Error a cancelled invocation maps to (ShuttingDown when a
-     *  shutdown deadline triggered the cancel, else watchdog
-     *  ModelFault). */
-    Error cancelCause() const;
-
-    /** Fail every member of @p reqs with @p err (stats under mu_
+    /** Fail every member of @p reqs with @p err (stats under the lock
      *  first, then the futures). */
     void failGroup(std::vector<Pending> &reqs, const Error &err);
 
-    /** Enqueue one request (mu_ held); returns its logits future.
+    /** Enqueue one request (lock held); returns its logits future.
      *  @p enforce_bounds applies the admission caps (submit path). */
     std::future<std::vector<float>>
     enqueueLocked(std::vector<int> tokens, Deadline deadline,
                   bool enforce_bounds);
-    /** DropExpiredFirst shed pass (mu_ held): fail + evict expired
-     *  queued requests. */
-    void shedExpiredLocked(RequestBatcher::Clock::time_point now);
-    /** Drop @p id's deadlines_ entry, if it has one (mu_ held). */
+    /** EngineCore's EvictQueued hook (lock held). */
+    std::size_t evictQueuedLocked(Deadline cutoff, const Error &err);
+    /** Fail the requests @p ids just removed from the batcher with
+     *  @p err and resolve them; returns their count (lock held). */
+    std::size_t failRemovedLocked(const std::vector<std::uint64_t> &ids,
+                                  const Error &err);
+    /** Drop @p id's deadlines_ entry, if it has one (lock held). */
     void eraseDeadlineLocked(Deadline deadline, std::uint64_t id);
     /** Take a group's pending requests, failing expired members, and
-     *  count the batch (mu_ held). */
+     *  count the batch (lock held). */
     ClaimedGroup claimGroupLocked(const BatchGroup &group);
-    /** Post-runGroup bookkeeping: outstanding_ and waiters (mu_ held). */
+    /** Post-runGroup bookkeeping: resolve the group's ids (lock held). */
     void finishGroupLocked(const BatchGroup &group);
-    /** Fail every still-queued request with ShuttingDown (mu_ held;
-     *  the shutdown-deadline abandon path). */
-    void failQueuedLocked();
 
     SequenceClassifier &model_;
     std::mutex model_mu_; ///< serialises forwardBatch invocations
     ServingConfig cfg_;
-    /** Declared before the thread members: released by member
-     *  destruction even when the constructor throws mid-way. */
-    detail::WorkspaceCapLease ws_cap_lease_;
+    /** Admission, deadlines, watchdog, drain; its mu() guards every
+     *  member below. */
+    EngineCore core_;
 
-    mutable std::mutex mu_;
-    std::condition_variable work_cv_; ///< wakes the dispatcher
-    std::condition_variable idle_cv_; ///< wakes flush()/shutdown waiters
     RequestBatcher batcher_;
     std::unordered_map<std::uint64_t, Pending> pending_;
-    std::set<std::uint64_t> outstanding_; ///< submitted, not yet served
     /**
      * Deadlines of QUEUED requests, ordered soonest-first (ids with
      * kNoDeadline are never entered). Kept in lockstep with the
@@ -551,12 +407,7 @@ class ServingEngine
      * expire inside the normal max_wait window.
      */
     std::multiset<std::pair<Deadline, std::uint64_t>> deadlines_;
-    std::uint64_t next_id_ = 0;
-    std::uint64_t submit_seq_ = 0;  ///< admission attempts (FaultPlan)
     std::size_t dispatch_seq_ = 0;  ///< model batches dispatched
-    std::size_t queued_tokens_ = 0; ///< tokens admitted, not claimed
-    bool stop_ = false;             ///< destructor: dispatcher exits
-    bool draining_ = false;         ///< shutdown(): no new admissions
     /**
      * Number of serveAll() calls currently draining inline. While
      * positive (and no flush() is waiting) the dispatcher parks
@@ -567,24 +418,9 @@ class ServingEngine
     int inline_active_ = 0;
     int flush_waiters_ = 0;
     std::uint64_t flush_watermark_ = 0; ///< max watermark of waiters
+    /** Engine-specific counters; the shared ones live in core_. */
     ServingStats stats_;
 
-    /** Set once a shutdown deadline passed: a Cancelled invocation is
-     *  then attributed to ShuttingDown, not the watchdog. */
-    std::atomic<bool> abandon_{false};
-
-    // Watchdog state (wd_mu_ - kept off the request path's mu_).
-    // Lock order: model_mu_ -> wd_mu_ (arming), and wd_mu_ is never
-    // held while taking mu_ or model_mu_ except in shutdown(), whose
-    // mu_ -> wd_mu_ order is safe because no path takes wd_mu_ -> mu_.
-    std::mutex wd_mu_;
-    std::condition_variable wd_cv_;
-    runtime::CancelToken *wd_token_ = nullptr; ///< in-flight invocation
-    RequestBatcher::Clock::time_point wd_started_{};
-    bool wd_fired_ = false; ///< fired for the current invocation
-    bool wd_stop_ = false;
-
-    std::thread watchdog_;   ///< only started when watchdog_timeout > 0
     std::thread dispatcher_; ///< last member: starts fully-initialised
 };
 

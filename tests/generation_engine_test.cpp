@@ -430,5 +430,58 @@ TEST_F(GenerationEngineTest, ConcurrentSubmittersStayConsistent)
               static_cast<std::size_t>(kThreads * kPer * 2));
 }
 
+TEST_F(GenerationEngineTest, WatchdogCancelsStalledDecodeStep)
+{
+    Rng rng(54);
+    auto gen = buildGenerator(genCfg(), rng);
+    const auto prompts =
+        testutil::makeRequests({4, 9, 6}, gen->vocab(), 61);
+    const std::vector<int> late = {3, 1, 4, 1, 5};
+    const std::vector<int> want_late = referenceGreedy(*gen, late, 4);
+
+    // Invocation 0 is a one-token blocker's prefill, slowed so the
+    // three prompts queue behind it and share prefill 1; invocation 2
+    // is then the first decode step over all three live sequences,
+    // and it never returns until the watchdog cancels it.
+    FaultPlan plan;
+    plan.batch_delays[0] = std::chrono::milliseconds(200);
+    plan.batch_stalls.insert(2);
+    GenerationConfig cfg;
+    cfg.max_live = 3;
+    cfg.watchdog_timeout = std::chrono::milliseconds(100);
+    cfg.fault_plan = &plan;
+    GenerationEngine eng(*gen, cfg);
+
+    auto blocker = eng.submit({2, 7}, 1);
+    for (int i = 0; i < 2000 && eng.stats().prefill_batches == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::vector<std::future<std::vector<int>>> futs;
+    for (const auto &p : prompts)
+        futs.push_back(eng.submit(p, 5));
+    EXPECT_EQ(blocker.get().size(), 1u);
+
+    // A cancelled step has no salvageable row: every live sequence
+    // fails, and the step is not retried per sequence.
+    for (auto &f : futs) {
+        try {
+            (void)f.get();
+            FAIL() << "expected ModelFault";
+        } catch (const Error &e) {
+            EXPECT_EQ(e.code(), ErrorCode::ModelFault) << e.what();
+        }
+    }
+    {
+        const GenerationStats st = eng.stats();
+        EXPECT_EQ(st.prefill_batches, 2u);
+        EXPECT_EQ(st.watchdog_fired, 1u);
+        EXPECT_EQ(st.isolation_retries, 0u);
+        EXPECT_EQ(st.model_faults, prompts.size());
+    }
+
+    // The engine survives its watchdog: a later prompt decodes to its
+    // greedy reference.
+    EXPECT_EQ(eng.submit(late, 4).get(), want_late);
+}
+
 } // namespace
 } // namespace fabnet
