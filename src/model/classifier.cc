@@ -61,31 +61,29 @@ SequenceClassifier::forwardBatch(const std::vector<int> &tokens,
     if (lens.size() != batch)
         throw std::invalid_argument(
             "SequenceClassifier::forwardBatch: lens size != batch");
-    for (std::size_t L : lens)
+    // A Fourier mixer has no ragged form: padded rows would mix into
+    // the real ones, so such a model takes unpadded batches only.
+    const bool maskable = supportsMaskedBatch();
+    for (std::size_t L : lens) {
         if (L == 0 || L > seq)
             throw std::invalid_argument(
                 "SequenceClassifier::forwardBatch: len out of [1, seq]");
-    // Ragged execution: build the valid-row descriptor once and skip
-    // padded rows in every layer. Only for fully maskable models -
-    // Fourier mixers deliberately mix the embedded pad rows in, and
-    // the ragged chain's zeroed pad rows would change those logits.
-    // Serving cancellation (watchdog / shutdown deadline): in addition
-    // to the per-grain poll inside every parallelFor, re-check between
-    // blocks so a cancelled invocation unwinds at layer granularity
-    // even on the serial fast paths. No-op without a CancelScope.
-    if (ragged_batch_ && supportsMaskedBatch()) {
-        const nn::RowSet rows(batch, seq, lens);
-        Tensor x = embedding_.forwardRows(tokens, rows);
-        for (auto &blk : blocks_) {
-            runtime::checkCancelled();
-            x = blk->forwardRows(x, rows);
-        }
-        return head_.forwardMasked(x, lens);
+        if (!maskable && L != seq)
+            throw std::invalid_argument(
+                "SequenceClassifier::forwardBatch: padded batch on a "
+                "model without a masked form (Fourier mixer)");
     }
-    Tensor x = embedding_.forward(tokens, batch, seq);
+    // Build the valid-row descriptor once and skip padded rows in every
+    // layer. Serving cancellation (watchdog / shutdown deadline): in
+    // addition to the per-grain poll inside every parallelFor, re-check
+    // between blocks so a cancelled invocation unwinds at layer
+    // granularity even on the serial fast paths. No-op without a
+    // CancelScope.
+    const nn::RowSet rows(batch, seq, lens);
+    Tensor x = embedding_.forwardRows(tokens, rows);
     for (auto &blk : blocks_) {
         runtime::checkCancelled();
-        x = blk->forwardMasked(x, lens);
+        x = blk->forwardRows(x, rows);
     }
     return head_.forwardMasked(x, lens);
 }

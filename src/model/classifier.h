@@ -60,45 +60,28 @@ class SequenceClassifier
      * Inference logits for a right-padded batch of mixed-length
      * sequences: @p tokens is flat [batch * seq] with sequence b
      * occupying the first lens[b] slots of its row and pad tokens
-     * after. Attention mixers mask padded keys and the pooled head
-     * averages over the real prefix only, so for attention-mixer
-     * models each logits row is bitwise identical to
-     * forward(sequence_b, 1, lens[b]) - the property the serving
-     * engine (serve/serving.h) and tests/serving_test.cpp rely on.
+     * after. Each logits row is bitwise identical to
+     * forward(sequence_b, 1, lens[b]) at any thread count - the
+     * property the serving engine (serve/serving.h) relies on and
+     * `ctest -L ragged-parity` pins.
      *
-     * Execution: when every block honours masking exactly
-     * (supportsMaskedBatch()) and ragged execution is enabled (the
-     * default, see setRaggedBatch), the call builds a nn::RowSet
-     * descriptor once and drives the layers' forwardRows paths, which
-     * SKIP the padded rows instead of computing and discarding them -
-     * same bits, pad_overhead-proportionally less work (the tentpole
-     * of the ragged-execution PR; tests/serving_test.cpp `ragged-
-     * parity` pins the bitwise equivalence at threads {1, 4, 8}).
-     * Fourier mixers have no masked form (see nn/layer.h); such
-     * models keep the dense masked path - their padded rows mix in,
-     * and reproducibility then only holds against same-padded-length
-     * inference. Inference-only: do not call trainBatch-style
-     * backward passes after it.
+     * Execution: the call builds a nn::RowSet descriptor once and
+     * drives the layers' forwardRows paths, which SKIP the padded rows
+     * instead of computing and discarding them; attention masks
+     * padded keys and the pooled head averages over the real prefix
+     * only. Models with a block that has no ragged form (Fourier
+     * mixers, !supportsMaskedBatch()) are served only unpadded: any
+     * lens[b] != seq throws std::invalid_argument. Inference-only: do
+     * not call trainBatch-style backward passes after it.
      */
     Tensor forwardBatch(const std::vector<int> &tokens, std::size_t batch,
                         std::size_t seq,
                         const std::vector<std::size_t> &lens);
 
     /**
-     * Enable/disable ragged (skip-padded-rows) execution inside
-     * forwardBatch. On by default; results are bitwise identical
-     * either way whenever ragged execution is eligible (it is only
-     * taken for supportsMaskedBatch() models). The switch exists for
-     * before/after measurement (bench/serving.cpp) and the parity
-     * tests - there is no correctness reason to turn it off.
-     */
-    void setRaggedBatch(bool enabled) { ragged_batch_ = enabled; }
-    bool raggedBatch() const { return ragged_batch_; }
-
-    /**
      * True when every block honours the padding mask exactly
      * (nn::Layer::supportsMasking over the actual layers, not the
-     * config), i.e. forwardBatch results are independent of padding.
+     * config), i.e. forwardBatch accepts padded batches.
      */
     bool supportsMaskedBatch() const;
 
@@ -159,7 +142,6 @@ class SequenceClassifier
     nn::Embedding embedding_;
     std::vector<std::unique_ptr<nn::EncoderBlock>> blocks_;
     nn::MeanPoolClassifier head_;
-    bool ragged_batch_ = true;
 };
 
 /**

@@ -8,7 +8,7 @@
  * layer norms, the attention core and the pooled head stay fp32. The
  * result is inference-only - training paths throw - but forward,
  * forwardBatch and evaluate keep their contracts, including the
- * masked-batch bitwise guarantee the serving engine relies on: the
+ * batched bitwise guarantee the serving engine relies on: the
  * quantized linears are row-wise and thread-count-invariant, so a
  * served int8/fp16 model produces logits bitwise identical to serial
  * single-request inference on the same quantized model.
@@ -71,15 +71,6 @@ class QuantizedSequenceClassifier
     {
         return model_->supportsMaskedBatch();
     }
-
-    /** Ragged (skip-padded-rows) execution toggle - on by default;
-     *  the quantized linears keep the bitwise guarantee either way
-     *  (see model/classifier.h::setRaggedBatch). */
-    void setRaggedBatch(bool enabled)
-    {
-        model_->setRaggedBatch(enabled);
-    }
-    bool raggedBatch() const { return model_->raggedBatch(); }
 
     double evaluate(const std::vector<Example> &data, std::size_t seq,
                     std::size_t batch_size = 16)

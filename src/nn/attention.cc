@@ -75,8 +75,7 @@ struct DecodeSelWs;
  * dense bits and every kind is bitwise run-to-run deterministic.
  *
  * @param sparse   validated non-dense config
- * @param i        query position (key index space; may exceed visible
- *                 for discarded padded rows - butterfly clamps)
+ * @param i        query position (key index space)
  * @param visible  number of visible keys (causal prefix or valid len)
  * @param stride   row stride of the transposed K panel @p kht
  * @param qi       query head slice, [dh]
@@ -182,27 +181,11 @@ MultiHeadAttention::setSparse(const SparseAttentionConfig &sparse)
 Tensor
 MultiHeadAttention::forward(const Tensor &x)
 {
-    return forwardImpl(x, nullptr);
+    return forwardImpl(x);
 }
 
 Tensor
-MultiHeadAttention::forwardMasked(const Tensor &x,
-                                  const std::vector<std::size_t> &lens)
-{
-    if (lens.size() != x.dim(0))
-        throw std::invalid_argument(
-            "MultiHeadAttention::forwardMasked: lens size != batch");
-    for (std::size_t L : lens)
-        if (L == 0 || L > x.dim(1))
-            throw std::invalid_argument(
-                "MultiHeadAttention::forwardMasked: len out of [1, t]");
-    return forwardImpl(x, &lens);
-}
-
-Tensor
-MultiHeadAttention::forwardImpl(const Tensor &x,
-                                const std::vector<std::size_t> *lens,
-                                const nn::RowSet *rows,
+MultiHeadAttention::forwardImpl(const Tensor &x, const nn::RowSet *rows,
                                 StepState *capture)
 {
     if (x.rank() != 3 || x.dim(2) != d_model_)
@@ -213,7 +196,7 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
     const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
     const bool ragged = rows != nullptr;
 
-    // Dense paths fill the q_/k_/v_/attn_ training caches; the ragged
+    // The dense path fills the q_/k_/v_/attn_ training caches; the ragged
     // path is inference-only, so its projections live in locals (no
     // peak-batch tensors retained between requests) and the softmax
     // row normalises in thread scratch instead of materialising the
@@ -273,18 +256,11 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
             const std::size_t b = task / heads_;
             const std::size_t h = task % heads_;
             const std::size_t off = h * dh;
-            // Keys/values past the real prefix are padding: masked out
-            // of scores, softmax and context entirely, so each real
-            // query row runs the exact op sequence of an unpadded
-            // length-`valid` forward.
-            const std::size_t valid =
-                ragged ? rows->len(b) : (lens ? (*lens)[b] : t_);
-            // The masked dense path still computes the padded QUERY
-            // rows (over the real prefix) and discards them
-            // downstream; the ragged path skips them - gather and
-            // compute stop at `valid`, which cannot change the real
-            // rows' bits (rows are independent).
-            const std::size_t active = ragged ? valid : t_;
+            // Rows past the real prefix are padding: skipped as keys,
+            // values and queries alike - gather and compute stop at
+            // `valid`, so each real query row runs the exact op
+            // sequence of an unpadded length-`valid` forward.
+            const std::size_t valid = ragged ? rows->len(b) : t_;
 
             // The sparse kinds add a compacted-probability row, a
             // gathered selected-V panel and index scratch on top of
@@ -307,7 +283,7 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
             std::uint32_t *cand = approx ? sel + t_ : nullptr;
             // K is gathered transposed ([dh, t]) so the score loop
             // below runs contiguously over keys.
-            for (std::size_t t_idx = 0; t_idx < active; ++t_idx) {
+            for (std::size_t t_idx = 0; t_idx < valid; ++t_idx) {
                 std::memcpy(qh + t_idx * dh,
                             rowPtr(q, b, t_idx) + off,
                             dh * sizeof(float));
@@ -319,7 +295,7 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
                     kht[c * t_ + t_idx] = krow[c];
             }
 
-            for (std::size_t i = 0; i < active; ++i) {
+            for (std::size_t i = 0; i < valid; ++i) {
                 const std::size_t visible =
                     causal_ ? std::min(i + 1, valid) : valid;
                 const float *qi = qh + i * dh;
@@ -327,8 +303,8 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
                     // Approximate row: deterministic selection +
                     // softmax over the selected set only. Selection
                     // depends only on (i, the real prefix), so the
-                    // ragged/masked/unpadded bitwise parity argument
-                    // carries over unchanged.
+                    // ragged/unpadded bitwise parity argument carries
+                    // over unchanged.
                     float *arow =
                         ragged ? nullptr
                                : attn_.data() +
@@ -375,7 +351,7 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
                                      visible, dh);
             }
 
-            for (std::size_t i = 0; i < active; ++i)
+            for (std::size_t i = 0; i < valid; ++i)
                 std::memcpy(rowPtr(ctx, b, i) + off, ch + i * dh,
                             dh * sizeof(float));
         }
@@ -390,7 +366,7 @@ MultiHeadAttention::forwardRows(const Tensor &x, const nn::RowSet &rows)
     if (rows.batch() != x.dim(0) || rows.seq() != x.dim(1))
         throw std::invalid_argument(
             "MultiHeadAttention::forwardRows: RowSet shape mismatch");
-    return forwardImpl(x, nullptr, &rows);
+    return forwardImpl(x, &rows);
 }
 
 Tensor
@@ -400,7 +376,7 @@ MultiHeadAttention::forwardPrefill(const Tensor &x, const nn::RowSet &rows,
     if (rows.batch() != x.dim(0) || rows.seq() != x.dim(1))
         throw std::invalid_argument(
             "MultiHeadAttention::forwardPrefill: RowSet shape mismatch");
-    return forwardImpl(x, nullptr, &rows, &step);
+    return forwardImpl(x, &rows, &step);
 }
 
 Tensor

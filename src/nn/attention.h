@@ -44,7 +44,7 @@ class MultiHeadAttention : public Layer
      * Install an approximate-attention configuration
      * (nn/sparse_attention.h): top-k score selection, the butterfly
      * candidate set, or both. Applies to every forward entry point
-     * (forward/forwardMasked/forwardRows/forwardStep/forwardPrefill);
+     * (forward/forwardRows/forwardStep/forwardPrefill);
      * forwardReference stays exact as the tolerance baseline. The
      * approximate paths keep the bitwise determinism contract -
      * identical bits run-to-run at any thread count and batch
@@ -65,28 +65,14 @@ class MultiHeadAttention : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Length-masked forward for right-padded batches: sequence b
-     * attends only over its first lens[b] key/value rows and the
-     * softmax normalises over that prefix, so every real query row
-     * performs exactly the floating-point ops of an unpadded length-
-     * lens[b] run - bitwise identical logits, which is what the
-     * serving engine's parity tests pin down. Padded query rows
-     * attend over the same real prefix (finite, deterministic) and
-     * are discarded downstream by the masked pooling head.
-     * Inference-only: backward() after this is undefined.
-     */
-    Tensor forwardMasked(const Tensor &x,
-                         const std::vector<std::size_t> &lens) override;
-
-    /**
-     * Ragged variant of forwardMasked: the Q/K/V/output projections
-     * run through their own forwardRows (skipping padded rows), the
-     * per-(batch, head) core gathers and computes only each sequence's
-     * real prefix - padded QUERY rows, which forwardMasked still
-     * computes and discards, are skipped too - and the softmax-scores
-     * cache (attn_, O(batch * heads * seq^2)) is not materialised.
-     * Every real row's op sequence is unchanged, so valid logits rows
-     * are bitwise identical to forwardMasked at any thread count.
+     * Ragged forward: the Q/K/V/output projections run through their
+     * own forwardRows (skipping padded rows), and the per-(batch,
+     * head) core gathers and computes only each sequence's real
+     * prefix - keys, values, the softmax and the query rows alike -
+     * without materialising the softmax-scores cache (attn_,
+     * O(batch * heads * seq^2)). Every real row runs the op sequence
+     * of an unpadded length-rows.len(b) forward, so valid rows are
+     * bitwise identical to serial forward at any thread count.
      * Inference-only.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
@@ -154,17 +140,16 @@ class MultiHeadAttention : public Layer
 
   private:
     /**
-     * Shared body of forward/forwardMasked/forwardRows: null lens =
-     * all rows real; non-null rows = ragged inference (skip padded
-     * query rows, projections via forwardRows, no training caches).
-     * One copy of the scores/softmax/context pipeline keeps the three
-     * entry points bitwise-synchronised by construction. @p capture
-     * (ragged path only) is the prefill K/V capture sink: each
-     * sequence's valid projected K/V rows are appended to its cache.
+     * Shared body of forward/forwardRows/forwardPrefill: null rows =
+     * all rows real (training caches filled); non-null rows = ragged
+     * inference (skip padded rows, projections via forwardRows, no
+     * training caches). One copy of the scores/softmax/context
+     * pipeline keeps the entry points bitwise-synchronised by
+     * construction. @p capture (ragged path only) is the prefill K/V
+     * capture sink: each sequence's valid projected K/V rows are
+     * appended to its cache.
      */
-    Tensor forwardImpl(const Tensor &x,
-                       const std::vector<std::size_t> *lens,
-                       const nn::RowSet *rows = nullptr,
+    Tensor forwardImpl(const Tensor &x, const nn::RowSet *rows = nullptr,
                        StepState *capture = nullptr);
 
     std::size_t d_model_, heads_;

@@ -97,7 +97,7 @@ class FourierMix : public Layer
     Tensor forward(const Tensor &x) override;
     Tensor backward(const Tensor &grad_out) override;
 
-    /** The sequence-dim FFT is global: no masked form exists. */
+    /** The sequence-dim FFT is global: no ragged form exists. */
     bool supportsMasking() const override { return false; }
 };
 

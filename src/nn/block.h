@@ -63,20 +63,10 @@ class EncoderBlock : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Masked variant for right-padded serving batches: the mixer gets
-     * the per-sequence real lengths (attention masks padded keys; see
-     * layer.h), while the residual adds, layer norms and FFN operate
-     * row-wise and need no masking. Inference-only.
-     */
-    Tensor forwardMasked(const Tensor &x,
-                         const std::vector<std::size_t> &lens) override;
-
-    /**
-     * Ragged variant of forwardMasked: every stage - the mixer, both
-     * residual adds, both layer norms and the FFN - iterates the valid
-     * rows only, leaving padded rows zero end to end. Valid rows are
-     * bitwise identical to forwardMasked (and so to unpadded
-     * forward()); inference-only.
+     * Ragged forward: every stage - the mixer, both residual adds,
+     * both layer norms and the FFN - iterates the valid rows only,
+     * leaving padded rows zero end to end. Valid rows are bitwise
+     * identical to unpadded forward(); inference-only.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
@@ -117,9 +107,13 @@ class EncoderBlock : public Layer
     }
 
   private:
-    /** Shared body of forward/forwardMasked; null lens = unmasked. */
-    Tensor forwardImpl(const Tensor &x,
-                       const std::vector<std::size_t> *lens);
+    /**
+     * The row-wise tail shared by forwardRows/forwardStep/
+     * forwardPrefill: given the block input @p x and the mixer output
+     * @p a, run residual, ln1, FFN, residual, ln2 over the valid rows
+     * of @p rows. Each entry point is its mixer call plus this.
+     */
+    Tensor rowsTail(const Tensor &x, Tensor a, const RowSet &rows);
 
     std::unique_ptr<Layer> mixer_, ffn_;
     LayerNorm ln1_, ln2_;

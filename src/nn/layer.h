@@ -30,7 +30,14 @@ struct ParamRef
     std::vector<float> *grad;
 };
 
-/** Base class of all layers operating on [batch, seq, hidden] tensors. */
+/**
+ * Base class of all layers operating on [batch, seq, hidden] tensors.
+ * Four forward entry points, one per job: forward() trains and serves
+ * one unpadded batch; forwardRows() is batched inference over a
+ * right-padded batch; forwardPrefill() and forwardStep() seed and
+ * advance K/V-cached decode. The three inference routes are pinned
+ * bitwise to forward() (`ctest -L "ragged-parity|decode-parity"`).
+ */
 class Layer
 {
   public:
@@ -43,44 +50,27 @@ class Layer
     virtual Tensor forward(const Tensor &x) = 0;
 
     /**
-     * Inference-only forward over a right-padded batch: @p lens[b] is
-     * the number of real (non-pad) rows of sequence b; rows beyond it
-     * are padding. The default forwards unchanged, which is exact for
-     * every layer that treats sequence rows independently (linears,
-     * activations, LayerNorm, FFN) - padding can never bleed into real
-     * rows there. Layers that mix across the sequence override this:
-     * MultiHeadAttention restricts keys/values and the softmax to the
-     * real prefix, which makes each real row's arithmetic identical to
-     * an unpadded run (the serving engine's bitwise guarantee).
-     * FourierMix has no masked form (the FFT is global over the padded
-     * length), so serving it is only reproducible against inference at
-     * the same padded length. Does not update backward() caches
-     * coherently for masked rows; do not train through this path.
-     */
-    virtual Tensor forwardMasked(const Tensor &x,
-                                 const std::vector<std::size_t> &lens)
-    {
-        (void)lens;
-        return forward(x);
-    }
-
-    /**
-     * Ragged extension of forwardMasked(): the same masked-inference
-     * contract, driven by a prebuilt RowSet so row-wise layers can
-     * SKIP padded rows instead of computing and discarding them.
-     * Valid rows are bitwise identical to forwardMasked(x, rows.lens())
-     * - and therefore to an unpadded run - at any thread count; padded
-     * output rows are zero for overriding layers and unspecified (but
-     * finite and deterministic) for the fallback. The default
-     * delegates to forwardMasked(), which is always correct, merely
-     * not ragged; layers whose row loop dominates override it (Dense,
-     * QuantizedDense, butterfly linears, LayerNorm, activations,
-     * attention, the FFN and encoder block). Inference-only, like
-     * forwardMasked: backward() caches are not maintained.
+     * Ragged inference forward - the one batched inference route.
+     * @p x is a right-padded [batch, seq, d] tensor whose padded rows
+     * are zero, and @p rows says which rows are real (rows.len(b) per
+     * sequence). Every valid output row is bitwise identical to the
+     * layer's serial unpadded forward() over that sequence alone, at
+     * any thread count; padded output rows are zero for overriding
+     * layers. Layers whose row loop dominates override it to SKIP the
+     * padded rows (Dense, QuantizedDense, butterfly linears,
+     * LayerNorm, activations, the FFN and encoder block), and
+     * MultiHeadAttention restricts keys, values and the softmax to
+     * each sequence's real prefix. The default is forward(x): exact
+     * for layers that treat rows independently, and for FourierMix
+     * (the one layer that mixes across the sequence without an
+     * override) exact only when nothing is padded - see
+     * supportsMasking(). Inference-only: backward() caches are not
+     * maintained.
      */
     virtual Tensor forwardRows(const Tensor &x, const RowSet &rows)
     {
-        return forwardMasked(x, rows.lens());
+        (void)rows;
+        return forward(x);
     }
 
     /**
@@ -119,13 +109,14 @@ class Layer
     }
 
     /**
-     * Whether forwardMasked() honours the padding mask exactly: true
-     * for row-wise layers (the default is exact for them) and for
-     * layers that implement masking; false for layers that mix across
-     * the sequence without a masked form (FourierMix). Composite
-     * layers forward the query to their children. The serving engine
-     * uses this to refuse models whose served results would depend on
-     * padding.
+     * Whether forwardRows() is exact on padded batches: true for
+     * row-wise layers (the default is exact for them) and for layers
+     * that mask (attention); false for layers that mix across the
+     * sequence without a ragged form (FourierMix). Composite layers
+     * forward the query to their children.
+     * SequenceClassifier::forwardBatch refuses padded batches on
+     * models with such a layer, and the serving engine refuses them
+     * at any bucket granularity that can pad.
      */
     virtual bool supportsMasking() const { return true; }
 

@@ -28,8 +28,8 @@
  * chunk boundaries never depend on the thread count, and every span
  * kernel in this repo computes each row from that row's inputs with a
  * fixed per-row operation order. Skipping rows therefore cannot change
- * any valid row's bits: ragged execution is bitwise identical to the
- * full padded computation (tests/serving_test.cpp, `ragged-parity`).
+ * any valid row's bits: ragged execution is bitwise identical to each
+ * sequence's serial unpadded forward (`ctest -L ragged-parity`).
  */
 #ifndef FABNET_NN_ROWSET_H
 #define FABNET_NN_ROWSET_H

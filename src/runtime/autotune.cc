@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -135,6 +136,51 @@ cacheIdentity()
     return id;
 }
 
+/** A whole unsigned decimal: digits only - no sign (a '-' would wrap
+ *  through a size_t read), no trailing text, no overflow. */
+bool
+parseCount(const std::string &s, std::size_t &out)
+{
+    if (s.empty() || s.size() > 18) // 10^18 < 2^64: cannot overflow
+        return false;
+    std::size_t n = 0;
+    for (const char c : s) {
+        if (c < '0' || c > '9')
+            return false;
+        n = n * 10 + static_cast<std::size_t>(c - '0');
+    }
+    out = n;
+    return true;
+}
+
+/** One cache entry line: exactly "family m k n threads mk grain
+ *  gflops" with positive sizes, a known tile and a finite,
+ *  non-negative rate. Anything else is rejected whole. */
+bool
+parseEntryLine(const std::string &line, Key &key, Entry &e)
+{
+    std::istringstream ls(line);
+    std::vector<std::string> f;
+    for (std::string tok; ls >> tok;)
+        f.push_back(tok);
+    std::size_t mk = 0;
+    if (f.size() != 8 || !parseFamily(f[0], key.family) ||
+        !parseCount(f[1], key.m) || !parseCount(f[2], key.k) ||
+        !parseCount(f[3], key.n) || !parseCount(f[4], key.threads) ||
+        !parseCount(f[5], mk) || !parseCount(f[6], e.plan.grain))
+        return false;
+    char *end = nullptr;
+    e.gflops = std::strtod(f[7].c_str(), &end);
+    if (*end != '\0' || !std::isfinite(e.gflops) || e.gflops < 0.0)
+        return false;
+    if (key.m == 0 || key.k == 0 || key.n == 0 || key.threads == 0 ||
+        e.plan.grain == 0 ||
+        mk >= static_cast<std::size_t>(kNumGemmKernels))
+        return false;
+    e.plan.mk = static_cast<int>(mk);
+    return true;
+}
+
 bool
 loadCacheLocked(TuneState &s, const std::string &path)
 {
@@ -159,16 +205,9 @@ loadCacheLocked(TuneState &s, const std::string &path)
     while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#')
             continue;
-        std::istringstream ls(line);
-        std::string fam;
         Key key;
         Entry e;
-        ls >> fam >> key.m >> key.k >> key.n >> key.threads >>
-            e.plan.mk >> e.plan.grain >> e.gflops;
-        if (!ls || !parseFamily(fam, key.family))
-            continue;
-        if (e.plan.mk < 0 || e.plan.mk >= kNumGemmKernels ||
-            e.plan.grain == 0)
+        if (!parseEntryLine(line, key, e))
             continue;
         s.entries[key] = e;
         ++loaded;
@@ -199,9 +238,15 @@ initFromEnvLocked(TuneState &s)
     if (s.env_loaded)
         return;
     s.env_loaded = true;
-    const char *mode = std::getenv("FABNET_AUTOTUNE");
-    if (mode && (std::string(mode) == "off" || std::string(mode) == "0"))
+    const char *env = std::getenv("FABNET_AUTOTUNE");
+    const std::string mode = env ? env : "";
+    if (mode == "off" || mode == "0")
         s.search_enabled = false;
+    else if (!mode.empty() && mode != "on" && mode != "1")
+        std::fprintf(stderr,
+                     "fabnet: unknown FABNET_AUTOTUNE '%s' (on|1|off|0); "
+                     "keeping autotuning on\n",
+                     env);
     const char *path = std::getenv("FABNET_TUNE_CACHE");
     if (path && *path) {
         s.cache_path = path;
@@ -454,6 +499,9 @@ resetTuneCacheForTest()
     TuneState &s = state();
     std::lock_guard<std::mutex> lk(s.mu);
     s.entries.clear();
+    s.search_enabled = true;
+    s.cache_path.clear();
+    s.env_loaded = false;
 }
 
 } // namespace runtime

@@ -25,8 +25,10 @@
  * level is ignored (with a stderr note), never silently replayed.
  *
  * Environment:
- *   FABNET_AUTOTUNE=off     disable searching (defaults + any entries
- *                           loaded from the cache file still apply)
+ *   FABNET_AUTOTUNE=off|0   disable searching (defaults + any entries
+ *                           loaded from the cache file still apply);
+ *                           on|1 is the default, any other value keeps
+ *                           it with one stderr line
  *   FABNET_TUNE_CACHE=path  load the cache at startup, append new
  *                           entries as they are tuned
  */
@@ -58,7 +60,8 @@ GemmPlan planGemmF16(std::size_t m, std::size_t k, std::size_t n);
  *  only the grain is tuned). */
 GemmPlan planGemmInt8(std::size_t m, std::size_t k, std::size_t n);
 
-/** True unless FABNET_AUTOTUNE=off. */
+/** True unless FABNET_AUTOTUNE is off or 0. Values other than
+ *  on/1/off/0 keep the default (on) with one stderr line. */
 bool autotuneEnabled();
 
 /**
@@ -74,12 +77,16 @@ std::string tuningReport();
  * plumbing calls these; tests drive them directly). load returns
  * false and leaves the cache untouched when the file is missing or
  * its header doesn't match this host+build+isa; save rewrites the
- * whole file.
+ * whole file. An entry line that does not parse whole - wrong field
+ * count, trailing text, a sign, a zero size/threads/grain, an unknown
+ * tile or a non-finite rate - is skipped.
  */
 bool loadTuneCache(const std::string &path);
 bool saveTuneCache(const std::string &path);
 
-/** Drop every cached entry (tests only - plans re-tune afterwards). */
+/** Drop every cached entry and forget the environment wiring, so the
+ *  next call re-reads FABNET_AUTOTUNE / FABNET_TUNE_CACHE (tests only -
+ *  plans re-tune afterwards). */
 void resetTuneCacheForTest();
 
 } // namespace runtime

@@ -25,16 +25,14 @@ ServingEngine::ServingEngine(SequenceClassifier &model, ServingConfig cfg)
         throw std::invalid_argument(
             "ServingEngine: pad_token outside the model vocabulary");
     // With granularity 1 buckets are padding-free, so even layers
-    // without a masked form serve deterministically.
-    if (!model_.supportsMaskedBatch() && cfg_.bucket_granularity > 1 &&
-        !cfg_.allow_unmasked_mixers)
+    // without a masked form serve, bitwise equal to serial forward;
+    // any coarser bucket could pad, which forwardBatch refuses.
+    if (!model_.supportsMaskedBatch() && cfg_.bucket_granularity > 1)
         throw std::invalid_argument(
             "ServingEngine: model has blocks without a masked form "
-            "(Fourier mixers) - served logits would depend on the "
-            "padded length a request happens to be bucketed at. Use "
-            "bucket_granularity == 1 (padding-free buckets), or set "
-            "ServingConfig::allow_unmasked_mixers to serve anyway, "
-            "forfeiting per-request determinism.");
+            "(Fourier mixers) - padded batches would change their "
+            "logits. Use bucket_granularity == 1 (padding-free "
+            "buckets).");
     dispatcher_ = std::thread([this] { dispatchLoop(); });
 }
 
@@ -363,10 +361,8 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
         stats_.real_tokens += real;
         stats_.padded_tokens += bsz * seq;
         stats_.tight_tokens += bsz * max_len;
-        // Padded rows this batch skipped end to end (forwardBatch
-        // takes the ragged path exactly under these conditions).
-        if (model_.raggedBatch() && model_.supportsMaskedBatch())
-            stats_.rows_skipped += bsz * seq - real;
+        // Padded rows this batch skipped end to end.
+        stats_.rows_skipped += bsz * seq - real;
     }
     for (std::size_t i = 0; i < bsz; ++i) {
         if (expired[i])

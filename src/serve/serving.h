@@ -10,7 +10,7 @@
  * one model invocation whose row count keeps the PR-1 thread pool
  * (runtime/parallel.h) saturated, amortising weight traffic across
  * requests exactly as the paper's accelerator amortises it across a
- * sequence. forwardBatch executes RAGGED for maskable models: a
+ * sequence. forwardBatch executes RAGGED: a
  * nn::RowSet valid-row descriptor is built per batch and the padded
  * rows bucketing introduces are skipped in every row-wise layer
  * (ServingStats::rows_skipped counts them; logits unchanged bit for
@@ -89,7 +89,11 @@ struct ServingConfig
 {
     /** Flush a bucket as soon as it holds this many requests. */
     std::size_t max_batch = 8;
-    /** Padded lengths are multiples of this (1 = exact-length only). */
+    /**
+     * Padded lengths are multiples of this (1 = exact-length only).
+     * Models with Fourier mixers (no masked form) require 1; the
+     * constructor refuses them at any coarser granularity.
+     */
     std::size_t bucket_granularity = 16;
     /** Flush a non-full bucket once its oldest request waited this. */
     std::chrono::microseconds max_wait{1000};
@@ -100,16 +104,6 @@ struct ServingConfig
      * scratch while the engine lives (0 = leave the policy as-is).
      */
     std::size_t workspace_cap_bytes = 4u << 20;
-    /**
-     * Layers without a masked form (Fourier mixers: FNet / FABNet
-     * FBfly blocks) produce served logits that depend on the padded
-     * length a request is bucketed at. The constructor rejects such
-     * models (queried via SequenceClassifier::supportsMaskedBatch)
-     * unless buckets are padding-free (bucket_granularity == 1, where
-     * determinism holds anyway) or this flag explicitly forfeits the
-     * per-request determinism guarantee.
-     */
-    bool allow_unmasked_mixers = false;
 
     // ------------------------------------------- bounded admission
     /**
@@ -178,8 +172,7 @@ struct ServingStats
      *  count a max-length-padded (bucket-free) batch would hold. */
     std::size_t tight_tokens = 0;
     /** Padded activation rows ragged execution skipped (padded -
-     *  real positions of batches served down the ragged path; 0 when
-     *  the model is not maskable or ragged execution is disabled). */
+     *  real positions of every served batch). */
     std::size_t rows_skipped = 0;
 
     // ------------------------------------ backpressure / reliability

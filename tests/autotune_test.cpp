@@ -9,14 +9,18 @@
  *     and reloading yields the same plan without re-searching, and the
  *     replayed plan computes bit-identical outputs,
  *   - a cache written by a different host/build/isa identity is
- *     rejected, never silently replayed,
+ *     rejected, never silently replayed, and a malformed entry line
+ *     (trailing text, a sign, zero threads, ...) is skipped whole,
+ *   - FABNET_AUTOTUNE honours only on/1/off/0,
  *   - shapes too small to matter skip the search (default plan),
  *   - tuningReport() carries the identity fields the bench JSONs and
  *     ServingEngine::stats() record.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -187,6 +191,90 @@ TEST_F(AutotuneTest, ForeignCacheIdentityIsRejected)
     }
     EXPECT_FALSE(runtime::loadTuneCache(f.path));
     EXPECT_FALSE(runtime::loadTuneCache(f.path + ".does-not-exist"));
+}
+
+TEST_F(AutotuneTest, MalformedCacheLinesAreSkipped)
+{
+    // Header + identity from a real save of an empty cache, then a
+    // corpus of entry lines: one valid, the rest each broken one way.
+    runtime::resetTuneCacheForTest();
+    TempFile f("fabnet_tune_corpus.txt");
+    ASSERT_TRUE(runtime::saveTuneCache(f.path));
+    const std::string t = std::to_string(runtime::numThreads());
+    const std::vector<std::string> bad = {
+        "f32 512 160 128 " + t + " 0 8 1.5 junk", // trailing field
+        "f32 512 160 128 " + t + " 0 8 1.5x",     // trailing text
+        "f32 512 160 128 " + t + " 0 -8 1.5",     // wraps to huge grain
+        "f32 -512 160 128 " + t + " 0 8 1.5",     // negative m
+        "f32 512 160 128 -1 0 8 1.5",             // negative threads
+        "f32 512 160 128 0 0 8 1.5",              // zero threads
+        "f32 512 160 128 " + t + " 0 0 1.5",      // zero grain
+        "f32 512 160 128 " + t + " -1 8 1.5",     // negative tile
+        "f32 512 160 128 " + t + " 999 8 1.5",    // unknown tile
+        "f32 512 160 128 " + t + " 0 8 nan",      // non-finite rate
+        "f32 512 160 128 " + t + " 0 8 -1",       // negative rate
+        "f32 512 160 128 " + t + " 0 8",          // missing field
+        "f64 512 160 128 " + t + " 0 8 1.5",      // unknown family
+        "f32 +512 160 128 " + t + " 0 8 1.5",     // explicit sign
+    };
+    {
+        std::ofstream out(f.path, std::ios::app);
+        for (const auto &l : bad)
+            out << l << "\n";
+    }
+    EXPECT_FALSE(runtime::loadTuneCache(f.path)) << "loaded a bad line";
+    EXPECT_NE(runtime::tuningReport().find("\"entries\": []"),
+              std::string::npos)
+        << runtime::tuningReport();
+
+    {
+        std::ofstream out(f.path, std::ios::app);
+        out << "f32 256 160 128 " << t << " 0 8 1.5\n";
+    }
+    EXPECT_TRUE(runtime::loadTuneCache(f.path));
+    const std::string report = runtime::tuningReport();
+    std::size_t entries = 0;
+    for (std::size_t pos = report.find("\"family\"");
+         pos != std::string::npos; pos = report.find("\"family\"", pos + 1))
+        ++entries;
+    EXPECT_EQ(entries, 1u) << report;
+    EXPECT_NE(report.find("\"m\": 256"), std::string::npos) << report;
+    const GemmPlan p = runtime::planGemmF32(256, 160, 128);
+    EXPECT_EQ(p.mk, 0);
+    EXPECT_EQ(p.grain, 8u);
+}
+
+TEST_F(AutotuneTest, AutotuneEnvAcceptsOnlyOnOffValues)
+{
+    const char *prev = std::getenv("FABNET_AUTOTUNE");
+    const std::string saved = prev ? prev : "";
+    const struct
+    {
+        const char *value;
+        bool enabled;
+        bool warns;
+    } cases[] = {
+        {"off", false, false}, {"0", false, false}, {"on", true, false},
+        {"1", true, false},    {"", true, false},   {"OFF", true, true},
+        {"no", true, true},    {"0x", true, true},  {"2", true, true},
+    };
+    for (const auto &c : cases) {
+        ::setenv("FABNET_AUTOTUNE", c.value, 1);
+        runtime::resetTuneCacheForTest();
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(runtime::autotuneEnabled(), c.enabled)
+            << "FABNET_AUTOTUNE='" << c.value << "'";
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err.find("FABNET_AUTOTUNE") != std::string::npos,
+                  c.warns)
+            << "FABNET_AUTOTUNE='" << c.value << "' stderr: " << err;
+        EXPECT_LE(std::count(err.begin(), err.end(), '\n'), 1);
+    }
+    if (prev)
+        ::setenv("FABNET_AUTOTUNE", saved.c_str(), 1);
+    else
+        ::unsetenv("FABNET_AUTOTUNE");
+    runtime::resetTuneCacheForTest();
 }
 
 TEST_F(AutotuneTest, TuningReportCarriesTheIdentityFields)

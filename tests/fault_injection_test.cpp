@@ -320,9 +320,12 @@ TEST_F(FaultInjectionTest, MidBatchExpiryDiscardsComputedResult)
     sc.fault_plan = &plan;
     ServingEngine engine(*model, sc);
 
+    // The no-deadline batchmate goes in first: f1's deadline makes the
+    // dispatcher flush its bucket urgently, and that flush must find
+    // f2 already queued so both ride in the one (delayed) batch.
+    auto f2 = engine.submit(reqs[1]); // same bucket, no deadline
     auto f1 = engine.submit(reqs[0],
                             deadlineAfter(std::chrono::milliseconds(200)));
-    auto f2 = engine.submit(reqs[1]); // same bucket, no deadline
     engine.flush();
 
     expectError(ErrorCode::DeadlineExceeded, [&] { f1.get(); },

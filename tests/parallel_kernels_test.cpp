@@ -220,8 +220,9 @@ TEST_F(ParallelKernelsTest, SimBatchCrossValidation)
 // --------------------------------------------------- ragged parity
 //
 // The ragged (skip-padded-rows) forward of every row-wise layer must
-// be bitwise identical to the dense masked path over the VALID rows -
-// and leave padded rows exactly zero - at threads {1, 4, 8}, across
+// be bitwise identical to each sequence's serial unpadded forward over
+// the VALID rows - and leave padded rows exactly zero - at threads
+// {1, 4, 8}, across
 // degenerate length vectors (batch of 1, all-equal/no-padding,
 // all-single-token, max-straddle mixes). `ctest -L ragged-parity`.
 
@@ -307,9 +308,9 @@ TEST_F(ParallelKernelsTest, RaggedLayerNormAndActivationParity)
 
 TEST_F(ParallelKernelsTest, RaggedAttentionParity)
 {
-    // forwardRows vs forwardMasked: the ragged core computes only the
-    // real prefix (queries AND keys) and skips the attn_ cache, yet
-    // valid rows must match the masked path bit for bit - causal too.
+    // forwardRows vs serial unpadded forward: the ragged core computes
+    // only the real prefix (queries AND keys) and skips the attn_
+    // cache, yet valid rows must match bit for bit - causal too.
     const std::size_t d = 12, seq = 9;
     for (bool causal : {false, true}) {
         Rng rng(97);
@@ -329,7 +330,7 @@ TEST_F(ParallelKernelsTest, RaggedAttentionParity)
 
 TEST_F(ParallelKernelsTest, RaggedEncoderBlockParity)
 {
-    // Whole block: masked mixer + ragged residuals/norms/FFN.
+    // Whole block: ragged mixer, residuals, norms and FFN.
     const std::size_t d = 16, seq = 13;
     Rng rng(103);
     auto mha = std::make_unique<nn::MultiHeadAttention>(

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -264,13 +265,13 @@ TEST_F(ServingTest, CausalModelServesBitwiseToo)
 
 // --------------------------------------------- ragged batch parity
 
-TEST_F(ServingTest, RaggedForwardBatchBitwiseMatchesPaddedPath)
+TEST_F(ServingTest, RaggedForwardBatchBitwiseMatchesSerialForward)
 {
-    // The tentpole contract: forwardBatch with ragged execution
-    // (skip padded rows end-to-end) is bitwise identical to the dense
-    // masked path - and therefore to serial unpadded forward - for
-    // degenerate shapes (batch of 1, all-equal lengths, single-token
-    // sequences, max-straddle buckets) at threads {1, 4, 8}.
+    // The tentpole contract: forwardBatch (skip padded rows end to
+    // end) is bitwise identical to each sequence's serial unpadded
+    // forward(tokens_b, 1, len_b) for degenerate shapes (batch of 1,
+    // all-equal lengths, single-token sequences, max-straddle buckets)
+    // at threads {1, 4, 8}.
     const std::size_t seq = 32;
     const std::vector<std::vector<std::size_t>> shapes = {
         {20},                    // batch of 1, padded
@@ -282,7 +283,6 @@ TEST_F(ServingTest, RaggedForwardBatchBitwiseMatchesPaddedPath)
         const ModelConfig cfg = tinyCfg(kind);
         Rng rng(211);
         auto model = buildModel(cfg, rng);
-        ASSERT_TRUE(model->raggedBatch()); // on by default
         for (const auto &lens : shapes) {
             const auto reqs = makeRequests(lens, cfg.vocab, 97);
             std::vector<int> tokens(lens.size() * seq, 0);
@@ -290,18 +290,21 @@ TEST_F(ServingTest, RaggedForwardBatchBitwiseMatchesPaddedPath)
                 std::copy(reqs[i].begin(), reqs[i].end(),
                           tokens.begin() + i * seq);
 
-            model->setRaggedBatch(false);
-            const Tensor want =
-                model->forwardBatch(tokens, lens.size(), seq, lens);
-            model->setRaggedBatch(true);
+            runtime::setNumThreads(1);
+            const auto want = serveSerial(*model, reqs);
             for (std::size_t threads : kThreadCounts) {
                 runtime::setNumThreads(threads);
                 const Tensor got =
                     model->forwardBatch(tokens, lens.size(), seq, lens);
-                EXPECT_TRUE(bitwiseEqual(got, want))
-                    << "kind=" << static_cast<int>(kind)
-                    << " batch=" << lens.size()
-                    << " threads=" << threads;
+                ASSERT_EQ(got.size(), lens.size() * cfg.classes);
+                for (std::size_t i = 0; i < lens.size(); ++i)
+                    EXPECT_EQ(std::memcmp(got.data() + i * cfg.classes,
+                                          want[i].data(),
+                                          cfg.classes * sizeof(float)),
+                              0)
+                        << "kind=" << static_cast<int>(kind)
+                        << " batch=" << lens.size() << " row=" << i
+                        << " threads=" << threads;
             }
         }
     }
@@ -362,15 +365,6 @@ TEST_F(ServingTest, StatsReportBatchCompositionOverheadAndSkippedRows)
         EXPECT_DOUBLE_EQ(st.padOverheadBatch(), 1.0 - 84.0 / 96.0);
         EXPECT_EQ(st.rows_skipped, 128u - 84u);
     }
-    // With ragged execution off the engine must report zero skipped
-    // rows (the padded work really ran).
-    model->setRaggedBatch(false);
-    {
-        ServingEngine engine(*model, sc);
-        engine.serveAll(makeRequests({10, 12}, cfg.vocab, 107));
-        EXPECT_EQ(engine.stats().rows_skipped, 0u);
-    }
-    model->setRaggedBatch(true);
 }
 
 // --------------------------------------------------- async behaviour
@@ -443,35 +437,34 @@ TEST_F(ServingTest, InvalidRequestsRejectedOrFailTheirFuture)
     EXPECT_EQ(st.model_faults, 1u);
 }
 
-TEST_F(ServingTest, RejectsFourierModelsUnlessOptedIn)
+TEST_F(ServingTest, RejectsPaddedFourierBatches)
 {
-    // FourierMix has no masked form: its served logits would depend on
-    // the padded length a request is bucketed at, so the engine
-    // refuses such models unless determinism is explicitly forfeited.
+    // FourierMix has no masked form: padded logits would depend on the
+    // padded length a request is bucketed at. A padded forwardBatch on
+    // such a model is a typed refusal, and the engine refuses it at any
+    // granularity that can pad.
     ModelConfig cfg = tinyCfg(ModelKind::Transformer);
     cfg.kind = ModelKind::FNet;
     Rng rng(41);
     auto model = buildModel(cfg, rng);
     EXPECT_THROW(ServingEngine(*model, ServingConfig{}),
                  std::invalid_argument);
+    EXPECT_THROW(model->forwardBatch(std::vector<int>(2 * 16, 1), 2, 16,
+                                     {8, 16}),
+                 std::invalid_argument);
 
-    {
-        ServingConfig sc;
-        sc.allow_unmasked_mixers = true;
-        ServingEngine engine(*model, sc);
-        const auto out =
-            engine.serveAll(makeRequests({8, 16}, cfg.vocab, 3));
-        ASSERT_EQ(out.size(), 2u);
-        EXPECT_EQ(out[0].size(), cfg.classes);
+    // Padding-free buckets (granularity 1) hold one exact length each,
+    // so Fourier models serve bitwise equal to serial forward.
+    const auto reqs = makeRequests({8, 8, 16, 4}, cfg.vocab, 5);
+    const auto want = serveSerial(*model, reqs);
+    for (std::size_t threads : kThreadCounts) {
+        runtime::setNumThreads(threads);
+        ServingConfig exact;
+        exact.bucket_granularity = 1;
+        ServingEngine engine(*model, exact);
+        EXPECT_TRUE(bitwiseEqual(engine.serveAll(reqs), want))
+            << "threads=" << threads;
     }
-
-    // Padding-free buckets (granularity 1) are deterministic even for
-    // Fourier mixers, so no opt-in is needed there.
-    ServingConfig exact;
-    exact.bucket_granularity = 1;
-    ServingEngine engine(*model, exact);
-    const auto out = engine.serveAll(makeRequests({8, 8, 16}, cfg.vocab, 5));
-    ASSERT_EQ(out.size(), 3u);
 }
 
 TEST_F(ServingTest, StatsTrackPaddingOverhead)

@@ -190,14 +190,14 @@ TEST_F(SparseAttentionTest, TopKCoveringAllKeysIsBitwiseDense)
                     << "causal=" << causal << " k=" << k
                     << " threads=" << threads;
             });
-            // Masked batch too: selection sees only the real prefix.
-            const std::vector<std::size_t> lens = {t, 9, 23};
+            // Ragged batch too: selection sees only the real prefix.
+            const nn::RowSet rows(3, t, {t, 9, 23});
             runtime::setNumThreads(1);
-            const Tensor want_m = exact->forwardMasked(x, lens);
+            const Tensor want_r = exact->forwardRows(x, rows);
             forEachThreadCount([&](std::size_t threads) {
                 EXPECT_TRUE(bitwiseEqual(
-                    topk->forwardMasked(x, lens), want_m))
-                    << "masked causal=" << causal << " k=" << k
+                    topk->forwardRows(x, rows), want_r))
+                    << "ragged causal=" << causal << " k=" << k
                     << " threads=" << threads;
             });
         }
@@ -247,7 +247,7 @@ TEST_F(SparseAttentionTest, ApproxForwardIsDeterministicAcrossRunsAndThreads)
     }
 }
 
-TEST_F(SparseAttentionTest, ApproxRaggedMatchesMaskedDense)
+TEST_F(SparseAttentionTest, ApproxRaggedMatchesSerialUnpadded)
 {
     const std::size_t seq = 24, d = 32;
     for (const auto &sp : approxKinds()) {
@@ -278,8 +278,7 @@ TEST_F(SparseAttentionTest, ApproxDecodeStepMatchesFullRecompute)
     for (const auto &sp : approxKinds()) {
         auto mha = makeAttention(59, sp, /*causal=*/true);
         runtime::setNumThreads(1);
-        const Tensor ref =
-            mha->forwardMasked(x, std::vector<std::size_t>(b, t));
+        const Tensor ref = mha->forward(x);
         forEachThreadCount([&](std::size_t threads) {
             const std::string tag =
                 std::string(sparseKindName(sp.kind)) +

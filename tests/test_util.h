@@ -395,26 +395,6 @@ raggedInput(const nn::RowSet &rows, std::size_t d, unsigned seed)
     return x;
 }
 
-/** Exact equality over the VALID rows of two [batch, seq, d] tensors. */
-inline ::testing::AssertionResult
-validRowsBitwiseEqual(const Tensor &got, const Tensor &want,
-                      const nn::RowSet &rows)
-{
-    if (got.shape() != want.shape())
-        return ::testing::AssertionFailure()
-               << "shape mismatch " << got.shapeString() << " vs "
-               << want.shapeString();
-    const std::size_t d = got.shape().back();
-    for (std::size_t b = 0; b < rows.batch(); ++b) {
-        const std::size_t off = b * rows.seq() * d;
-        if (std::memcmp(got.data() + off, want.data() + off,
-                        rows.len(b) * d * sizeof(float)) != 0)
-            return ::testing::AssertionFailure()
-                   << "valid rows differ in sequence " << b;
-    }
-    return ::testing::AssertionSuccess();
-}
-
 /** Assert every padded row of a ragged output is exactly zero. */
 inline ::testing::AssertionResult
 paddedRowsZero(const Tensor &got, const nn::RowSet &rows)
@@ -431,23 +411,38 @@ paddedRowsZero(const Tensor &got, const nn::RowSet &rows)
 }
 
 /**
- * The ragged-parity check: run the layer's dense masked path once at
- * one thread as the baseline, then forwardRows at each kThreadCounts
- * entry - valid rows must be BITWISE identical to the baseline, and
- * padded rows must be exactly zero (the ragged chain invariant that
- * lets downstream layers skip them). @p x must satisfy the
- * padded-rows-zero invariant itself (use raggedInput()).
+ * The ragged-parity check: the oracle is each sequence's serial
+ * unpadded forward - layer.forward over x[b, :len_b] as a [1, len_b, d]
+ * tensor, at one thread. forwardRows at each kThreadCounts entry must
+ * reproduce those rows BITWISE, and leave padded rows exactly zero
+ * (the ragged chain invariant that lets downstream layers skip them).
+ * @p x must satisfy the padded-rows-zero invariant itself (use
+ * raggedInput()).
  */
 inline void
 expectRaggedForwardParity(nn::Layer &layer, const Tensor &x,
                           const nn::RowSet &rows, const std::string &tag)
 {
     runtime::setNumThreads(1);
-    const Tensor want = layer.forwardMasked(x, rows.lens());
+    const std::size_t d_in = x.shape().back();
+    std::vector<Tensor> want;
+    want.reserve(rows.batch());
+    for (std::size_t b = 0; b < rows.batch(); ++b) {
+        Tensor xb({1, rows.len(b), d_in});
+        std::memcpy(xb.data(), x.data() + b * rows.seq() * d_in,
+                    xb.size() * sizeof(float));
+        want.push_back(layer.forward(xb));
+    }
     forEachThreadCount([&](std::size_t threads) {
         const Tensor got = layer.forwardRows(x, rows);
-        EXPECT_TRUE(validRowsBitwiseEqual(got, want, rows))
-            << tag << " valid rows, threads=" << threads;
+        const std::size_t d = got.shape().back();
+        for (std::size_t b = 0; b < rows.batch(); ++b)
+            EXPECT_EQ(std::memcmp(got.data() + b * rows.seq() * d,
+                                  want[b].data(),
+                                  want[b].size() * sizeof(float)),
+                      0)
+                << tag << " valid rows of sequence " << b
+                << ", threads=" << threads;
         EXPECT_TRUE(paddedRowsZero(got, rows))
             << tag << " padded rows, threads=" << threads;
     });
